@@ -1,12 +1,12 @@
 #include "core/fast_payment.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <span>
 #include <vector>
 
 #include "core/audit_hooks.hpp"
-#include "spath/dijkstra.hpp"
 #include "spath/heap.hpp"
+#include "spath/workspace.hpp"
 #include "util/check.hpp"
 
 namespace tc::core {
@@ -18,55 +18,78 @@ using graph::NodeId;
 
 namespace {
 
-/// Children lists of the SPT(s) tree, from the parent array.
-std::vector<std::vector<NodeId>> tree_children(
-    const spath::SptResult& spt) {
-  std::vector<std::vector<NodeId>> children(spt.parent.size());
-  for (NodeId v = 0; v < spt.parent.size(); ++v) {
-    if (spt.parent[v] != kInvalidNode) children[spt.parent[v]].push_back(v);
-  }
-  return children;
+/// Level of a node the step-2 walk has not reached yet.
+constexpr std::uint32_t kUnlabelled = LevelLabels::kInvalidLevel - 1;
+/// End of a crossing-edge bucket list.
+constexpr std::uint32_t kNoEdge = 0xffffffffu;
+
+/// Step-5 crossing edge (a, b): level(a) = alpha < l < level(b) for every
+/// level l it jumps over. Bucketed by the first (highest) such level.
+struct CrossEdge {
+  Cost value;           // L(a) + c_a + c_b + R(b)
+  std::uint32_t alpha;  // valid while alpha < l
+  std::uint32_t next;   // next edge in the same bucket, or kNoEdge
+};
+
+/// Per-thread scratch of steps 2-5. Every buffer only grows, so a warm
+/// thread prices a route with the returned PaymentResult as its only
+/// allocation.
+struct Scratch {
+  std::vector<std::uint32_t> level;
+  std::vector<NodeId> chain;          // step 2: unlabelled run of a path
+  std::vector<NodeId> members;        // off-path nodes of levels 1..q-1
+  std::vector<Cost> lower;            // per member: min L(u) + c_u, lower u
+  std::vector<Cost> r_minus;          // R^{-l}(v), read only for members
+  std::vector<Cost> c_minus;          // per level: step-4 candidate
+  std::vector<CrossEdge> edges;       // step 5, chained per bucket
+  std::vector<std::uint32_t> bucket;  // per level: first edge, or kNoEdge
+  std::vector<CrossEdge> sweep;       // step-5 min-heap by value
+  spath::QuadHeap heap{0};            // step-3 Dijkstra
+};
+
+Scratch& thread_scratch() {
+  thread_local Scratch scratch;
+  return scratch;
 }
 
-}  // namespace
-
-LevelLabels compute_levels(const graph::NodeGraph& g, NodeId source,
-                           NodeId target) {
-  const spath::SptResult sptS = spath::dijkstra_node(g, source);
-  LevelLabels out;
-  out.levels.assign(g.num_nodes(), LevelLabels::kInvalidLevel);
-  if (!sptS.reached(target)) return out;
-  sptS.path_to_into(target, out.path);
-
-  // Index of each LCP node along the path.
-  std::vector<std::uint32_t> path_index(g.num_nodes(),
-                                        LevelLabels::kInvalidLevel);
-  for (std::uint32_t l = 0; l < out.path.size(); ++l)
-    path_index[out.path[l]] = l;
-
-  // Top-down tree walk: a node inherits its parent's level unless it is on
-  // the LCP itself, in which case its level is its path index.
-  const auto children = tree_children(sptS);
-  std::vector<NodeId> stack{source};
-  out.levels[source] = 0;
-  while (!stack.empty()) {
-    const NodeId u = stack.back();
-    stack.pop_back();
-    for (NodeId v : children[u]) {
-      out.levels[v] = path_index[v] != LevelLabels::kInvalidLevel
-                          ? path_index[v]
-                          : out.levels[u];
-      stack.push_back(v);
+/// Step 2: level[v] = index of the last LCP node on v's SPT(s) tree path
+/// (kInvalidLevel when unreachable). Each node's parent chain is walked
+/// only up to its first labelled ancestor, whose level the whole run
+/// inherits, so every node is labelled once: O(n), no children lists.
+void label_levels(const spath::SptResult& sptS, std::span<const NodeId> path,
+                  std::vector<std::uint32_t>& level,
+                  std::vector<NodeId>& chain) {
+  const std::size_t n = sptS.parent.size();
+  level.assign(n, kUnlabelled);
+  for (std::uint32_t l = 0; l < path.size(); ++l) level[path[l]] = l;
+  for (NodeId v = 0; v < n; ++v) {
+    NodeId u = v;
+    while (u != kInvalidNode && level[u] == kUnlabelled) {
+      chain.push_back(u);
+      u = sptS.parent[u];
     }
+    const std::uint32_t l =
+        u == kInvalidNode ? LevelLabels::kInvalidLevel : level[u];
+    for (const NodeId w : chain) level[w] = l;
+    chain.clear();
   }
-  return out;
 }
-
-namespace {
 
 /// Steps 2-5 of Algorithm 1 given the two step-1 trees; requires
 /// sptS.reached(target). Shared by the from-scratch overloads and the
 /// SPT-accepting one.
+///
+/// Steps 3-5 read the arcs once. For an off-path node v of level l in
+/// 1..q-1 (a "member"), that pass collects its step-3 seed
+/// min_w c_w + R(w) over higher-level neighbours w and its step-4 term
+/// min_u L(u) + c_u over lower-level neighbours u; every arc jumping two
+/// or more levels is bucketed as a step-5 crossing edge. One Dijkstra
+/// then settles R^{-l} for all members at once: relaxation never leaves
+/// a level and seeds read only the full-graph R, so the levels do not
+/// interact and the single run equals the per-level runs bit for bit.
+/// Step 4 adds c_v + R^{-l}(v) to the collected minimum; round-to-nearest
+/// addition is monotone in each operand, so that equals the minimum of
+/// the per-neighbour sums bit for bit.
 PaymentResult fast_payments_from_spts(const graph::NodeGraph& g, NodeId source,
                                       NodeId target,
                                       const spath::SptResult& sptS,
@@ -82,29 +105,11 @@ PaymentResult fast_payments_from_spts(const graph::NodeGraph& g, NodeId source,
   if (q < 2) {                                   // no relay nodes
     return result;
   }
+  const std::vector<NodeId>& path = result.path;
+  const auto top = static_cast<std::uint32_t>(q - 1);
 
   const std::vector<Cost>& L = sptS.dist;  // relay cost s -> v (excl. both)
   const std::vector<Cost>& R = sptT.dist;  // relay cost v -> t (excl. both)
-
-  // --- Step 2: levels. -------------------------------------------------
-  std::vector<std::uint32_t> path_index(n, LevelLabels::kInvalidLevel);
-  for (std::uint32_t l = 0; l <= q; ++l) path_index[result.path[l]] = l;
-
-  std::vector<std::uint32_t> level(n, LevelLabels::kInvalidLevel);
-  {
-    const auto children = tree_children(sptS);
-    std::vector<NodeId> stack{source};
-    level[source] = 0;
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (NodeId v : children[u]) {
-        level[v] = path_index[v] != LevelLabels::kInvalidLevel ? path_index[v]
-                                                               : level[u];
-        stack.push_back(v);
-      }
-    }
-  }
 
   // Cost contribution of a node when it is interior on a candidate path;
   // the endpoints' own costs are excluded by the path-cost convention.
@@ -112,136 +117,141 @@ PaymentResult fast_payments_from_spts(const graph::NodeGraph& g, NodeId source,
     return (v == source || v == target) ? 0.0 : g.node_cost(v);
   };
 
-  // Off-path nodes grouped by level (only levels 1..q-1 ever matter).
-  std::vector<std::vector<NodeId>> nodes_at_level(q);
+  Scratch& s = thread_scratch();
+  // --- Step 2: levels. -------------------------------------------------
+  label_levels(sptS, path, s.level, s.chain);
+  const std::vector<std::uint32_t>& level = s.level;
+
+  // --- One pass over the arcs: step-3 seeds, step-4 lower minima,
+  // step-5 crossing edges. ----------------------------------------------
+  s.members.clear();
+  s.lower.clear();
+  s.edges.clear();
+  s.bucket.assign(q, kNoEdge);
+  if (s.r_minus.size() < n) s.r_minus.resize(n);
   for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t l = level[v];
-    if (l == LevelLabels::kInvalidLevel) continue;      // unreachable
-    if (path_index[v] != LevelLabels::kInvalidLevel) continue;  // on path
-    if (l >= 1 && l <= q - 1) nodes_at_level[l].push_back(v);
+    const std::uint32_t lv = level[v];
+    if (lv == LevelLabels::kInvalidLevel) continue;  // unreachable
+    const bool member = lv >= 1 && lv <= top && path[lv] != v;
+    Cost seed = kInfCost;
+    Cost lower = kInfCost;
+    for (const NodeId w : g.neighbors(v)) {
+      const std::uint32_t lw = level[w];
+      if (lw == LevelLabels::kInvalidLevel || lw == lv) continue;
+      if (member) {
+        // Step 3 seeds: a higher-level neighbour's R already avoids r_l
+        // (Lemma 2). Step 4: lower-level neighbours enter from s.
+        if (lw > lv) {
+          if (graph::finite_cost(R[w]))
+            seed = std::min(seed, interior_cost(w) + R[w]);
+        } else if (graph::finite_cost(L[w])) {
+          lower = std::min(lower, L[w] + interior_cost(w));
+        }
+      }
+      if (w < v) continue;  // step 5 takes each undirected edge once
+      const NodeId a = lv < lw ? v : w;  // lower-level side (s side)
+      const NodeId b = lv < lw ? w : v;  // higher-level side (t side)
+      const std::uint32_t alpha = std::min(lv, lw);
+      const std::uint32_t beta = std::max(lv, lw);
+      if (beta < alpha + 2) continue;  // no integer level strictly between
+      if (!graph::finite_cost(L[a]) || !graph::finite_cost(R[b])) continue;
+      const std::uint32_t first_l = std::min(beta - 1, top);
+      if (first_l < 1 || first_l <= alpha) continue;
+      s.edges.push_back({L[a] + interior_cost(a) + interior_cost(b) + R[b],
+                         alpha, s.bucket[first_l]});
+      s.bucket[first_l] = static_cast<std::uint32_t>(s.edges.size() - 1);
+    }
+    if (member) {
+      s.members.push_back(v);
+      s.lower.push_back(lower);
+      s.r_minus[v] = seed;
+    }
   }
 
-  // --- Step 3: R^{-l}(v) per level, high to low. -----------------------
-  // R_minus[v] = ||P(v, t, G \ r_l)|| for v of level l, computed by a
-  // Dijkstra restricted to level-l nodes, seeded by transitions to
-  // higher-level neighbors whose R already avoids r_l (Lemma 2). Lemma 3
-  // lets us ignore transitions to lower levels.
-  std::vector<Cost> R_minus(n, kInfCost);
-  // c_minus[l]: step-4 candidate value of ||P_{-r_l}(s, t)|| via level-l
-  // nodes.
-  std::vector<Cost> c_minus(q, kInfCost);
-
-  {
-    std::vector<bool> settled(n, false);
-    using QEntry = std::pair<Cost, NodeId>;
-    for (std::uint32_t l = q - 1; l >= 1; --l) {
-      const auto& members = nodes_at_level[l];
-      if (members.empty()) {
-        if (l == 1) break;
-        continue;
+  // --- Step 3: R^{-l}(v) = ||P(v, t, G \ r_l)|| for every member, by one
+  // Dijkstra confined to each member's own level (Lemma 3 lets us ignore
+  // transitions to lower levels). ----------------------------------------
+  spath::QuadHeap& heap = s.heap;
+  heap.reset(n);
+  for (const NodeId v : s.members) {
+    const Cost seed = s.r_minus[v];
+    if (graph::finite_cost(seed)) heap.push_or_decrease(v, seed);
+  }
+  while (!heap.empty()) {
+    const auto [dv, v] = heap.pop_min();
+    const std::uint32_t lv = level[v];
+    const Cost through = g.node_cost(v) + dv;  // v is off-path: interior
+    for (const NodeId w : g.neighbors(v)) {
+      // Settled nodes fail the test on their own: through >= dv >= R^-(w).
+      if (level[w] != lv || w == path[lv]) continue;
+      if (through < s.r_minus[w]) {
+        s.r_minus[w] = through;
+        heap.push_or_decrease(w, through);
       }
-      std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
-      for (NodeId v : members) {
-        Cost base = kInfCost;
-        for (NodeId w : g.neighbors(v)) {
-          const std::uint32_t lw = level[w];
-          if (lw == LevelLabels::kInvalidLevel || lw <= l) continue;
-          if (!graph::finite_cost(R[w])) continue;
-          base = std::min(base, interior_cost(w) + R[w]);
-        }
-        R_minus[v] = base;
-        if (graph::finite_cost(base)) pq.emplace(base, v);
-      }
-      while (!pq.empty()) {
-        const auto [dv, v] = pq.top();
-        pq.pop();
-        if (settled[v] || dv > R_minus[v]) continue;
-        settled[v] = true;
-        for (NodeId w : g.neighbors(v)) {
-          // Within-level relaxation only: w must be an off-path node of
-          // the same level.
-          if (level[w] != l || path_index[w] != LevelLabels::kInvalidLevel)
-            continue;
-          if (settled[w]) continue;
-          const Cost cand = interior_cost(v) + dv;
-          if (cand < R_minus[w]) {
-            R_minus[w] = cand;
-            pq.emplace(cand, w);
-          }
-        }
-      }
-
-      // --- Step 4: crossings s -> (level < l) -> v(level l) -> t. ------
-      for (NodeId v : members) {
-        if (!graph::finite_cost(R_minus[v])) continue;
-        for (NodeId u : g.neighbors(v)) {
-          const std::uint32_t lu = level[u];
-          if (lu == LevelLabels::kInvalidLevel || lu >= l) continue;
-          if (!graph::finite_cost(L[u])) continue;
-          const Cost cand =
-              L[u] + interior_cost(u) + g.node_cost(v) + R_minus[v];
-          c_minus[l] = std::min(c_minus[l], cand);
-        }
-      }
-      if (l == 1) break;
     }
+  }
+
+  // --- Step 4: crossings s -> (level < l) -> v(level l) -> t. -----------
+  s.c_minus.assign(q, kInfCost);
+  for (std::size_t i = 0; i < s.members.size(); ++i) {
+    const NodeId v = s.members[i];
+    if (!graph::finite_cost(s.r_minus[v])) continue;
+    Cost& c = s.c_minus[level[v]];
+    c = std::min(c, s.lower[i] + g.node_cost(v) + s.r_minus[v]);
   }
 
   // --- Step 5: crossing-edge heap, swept l = q-1 .. 1. ------------------
-  struct CrossEdge {
-    Cost value;
-    std::uint32_t alpha;  // lower endpoint level; valid while alpha < l
-    bool operator>(const CrossEdge& other) const {
-      return value > other.value;
-    }
+  const auto later = [](const CrossEdge& x, const CrossEdge& y) {
+    return x.value > y.value;
   };
-  // insert_at[l]: edges first valid at level l (= min(beta - 1, q - 1)).
-  std::vector<std::vector<CrossEdge>> insert_at(q);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v : g.neighbors(u)) {
-      if (u > v) continue;  // each undirected edge once
-      const std::uint32_t lu = level[u];
-      const std::uint32_t lv = level[v];
-      if (lu == LevelLabels::kInvalidLevel || lv == LevelLabels::kInvalidLevel)
-        continue;
-      if (lu == lv) continue;
-      const NodeId a = lu < lv ? u : v;  // lower-level side (s side)
-      const NodeId b = lu < lv ? v : u;  // higher-level side (t side)
-      const std::uint32_t alpha = std::min(lu, lv);
-      const std::uint32_t beta = std::max(lu, lv);
-      if (beta < alpha + 2) continue;  // no integer level strictly between
-      if (!graph::finite_cost(L[a]) || !graph::finite_cost(R[b])) continue;
-      const std::uint32_t first_l =
-          std::min<std::uint32_t>(beta - 1, static_cast<std::uint32_t>(q - 1));
-      if (first_l < 1 || first_l <= alpha) continue;
-      const Cost value =
-          L[a] + interior_cost(a) + interior_cost(b) + R[b];
-      insert_at[first_l].push_back({value, alpha});
+  s.sweep.clear();
+  for (std::uint32_t l = top; l >= 1; --l) {
+    for (std::uint32_t e = s.bucket[l]; e != kNoEdge; e = s.edges[e].next) {
+      s.sweep.push_back(s.edges[e]);
+      std::push_heap(s.sweep.begin(), s.sweep.end(), later);
     }
-  }
-
-  std::priority_queue<CrossEdge, std::vector<CrossEdge>, std::greater<>> heap;
-  for (std::uint32_t l = static_cast<std::uint32_t>(q - 1); l >= 1; --l) {
-    for (const CrossEdge& e : insert_at[l]) heap.push(e);
     // Lazy invalidation: an edge with alpha >= l can never become valid
     // again as l decreases.
-    while (!heap.empty() && heap.top().alpha >= l) heap.pop();
-    const Cost heap_cand = heap.empty() ? kInfCost : heap.top().value;
-    const Cost avoid_cost = std::min(heap_cand, c_minus[l]);
+    while (!s.sweep.empty() && s.sweep.front().alpha >= l) {
+      std::pop_heap(s.sweep.begin(), s.sweep.end(), later);
+      s.sweep.pop_back();
+    }
+    const Cost heap_cand = s.sweep.empty() ? kInfCost : s.sweep.front().value;
+    const Cost avoid_cost = std::min(heap_cand, s.c_minus[l]);
 
-    const NodeId r_l = result.path[l];
+    const NodeId r_l = path[l];
     result.payments[r_l] = graph::finite_cost(avoid_cost)
                                ? avoid_cost - result.path_cost +
                                      g.node_cost(r_l)
                                : kInfCost;
-    if (l == 1) break;
   }
 
   TC_DCHECK(internal::audit_ok(g, source, target, result));
   return result;
 }
 
+/// A step-1 tree, SPT(root), solved in the thread's workspace.
+spath::SptResult solve_tree(const graph::NodeGraph& g, NodeId root) {
+  spath::DijkstraWorkspace& ws = spath::thread_local_workspace();
+  spath::dijkstra_node_into(ws, g, root);
+  return ws.to_result();
+}
+
 }  // namespace
+
+LevelLabels compute_levels(const graph::NodeGraph& g, NodeId source,
+                           NodeId target) {
+  const spath::SptResult sptS = solve_tree(g, source);
+  LevelLabels out;
+  if (!sptS.reached(target)) {
+    out.levels.assign(g.num_nodes(), LevelLabels::kInvalidLevel);
+    return out;
+  }
+  sptS.path_to_into(target, out.path);
+  std::vector<NodeId> chain;
+  label_levels(sptS, out.path, out.levels, chain);
+  return out;
+}
 
 PaymentResult vcg_payments_fast(const graph::NodeGraph& g, NodeId source,
                                 NodeId target) {
@@ -255,14 +265,14 @@ PaymentResult vcg_payments_fast(const graph::NodeGraph& g, NodeId source,
   TC_CHECK_MSG(source != target, "source and target must differ");
 
   // --- Step 1: SPTs and the LCP. -------------------------------------
-  spath::SptResult sptS = spath::dijkstra_node(g, source);
+  spath::SptResult sptS = solve_tree(g, source);
   if (!sptS.reached(target)) {
     PaymentResult result;
     result.payments.assign(g.num_nodes(), 0.0);
     if (spt_source_out != nullptr) *spt_source_out = std::move(sptS);
     return result;
   }
-  spath::SptResult sptT = spath::dijkstra_node(g, target);
+  spath::SptResult sptT = solve_tree(g, target);
   PaymentResult result =
       fast_payments_from_spts(g, source, target, sptS, sptT);
   if (spt_source_out != nullptr) *spt_source_out = std::move(sptS);

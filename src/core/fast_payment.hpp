@@ -11,10 +11,10 @@
 //     tree path to s in SPT(s). Removing r_l strands exactly the nodes of
 //     level l (other than those hanging toward t).
 //  3. For every off-path node v of level l, compute R^{-l}(v) =
-//     ||P(v, t, G \ r_l)|| by a per-level restricted Dijkstra seeded from
-//     higher-level neighbors (whose full-graph distance R already avoids
-//     r_l, by the paper's Lemma 2); Lemma 3 justifies never stepping to a
-//     lower level.
+//     ||P(v, t, G \ r_l)|| by a Dijkstra restricted to level l, seeded
+//     from higher-level neighbors (whose full-graph distance R already
+//     avoids r_l, by the paper's Lemma 2); Lemma 3 justifies never
+//     stepping to a lower level.
 //  4. c^{-l} = cheapest s->t path that crosses into a level-l node from a
 //     lower-level neighbor and continues via R^{-l}.
 //  5. A min-heap over "crossing" edges (a, b) with level(a) < l < level(b)
@@ -23,8 +23,16 @@
 //     ||P_{-r_l}|| = min(heap top, c^{-l}).
 //  6. p^{r_l} = ||P_{-r_l}|| - ||P|| + d_{r_l}.
 //
+// Steps 2-5 run on per-thread scratch that only grows: levels come from
+// a memoized walk up the SPT(s) parents, one pass over the arcs collects
+// the step-3 seeds, the step-4 terms and the step-5 crossing edges, and
+// one indexed-heap Dijkstra settles every level's R^{-l} at once (levels
+// never interact). The returned PaymentResult is the only allocation.
+//
 // Differential-tested against vcg_payments_naive on thousands of random
-// instances (tests/fast_payment_test.cpp).
+// instances (tests/core_fast_payment_test.cpp) and bit for bit against a
+// frozen replica of the per-level implementation
+// (tests/core_payment_differential_test.cpp).
 #pragma once
 
 #include "core/payment.hpp"
@@ -72,8 +80,7 @@ struct LevelLabels {
   std::vector<graph::NodeId> path;  ///< the LCP r_0..r_q
 };
 
-/// Computes the step-2 level labels (used by tests and by the distributed
-/// verification protocol's audit step).
+/// Computes the step-2 level labels (used by tests).
 [[nodiscard]] LevelLabels compute_levels(const graph::NodeGraph& g,
                                          graph::NodeId source,
                                          graph::NodeId target);

@@ -17,10 +17,10 @@ using graph::Cost;
 using graph::kInfCost;
 using graph::NodeId;
 
-PricedQuote Pricer::price_with_spts(const ProfileSnapshot& snap, NodeId source,
-                                    NodeId target,
-                                    spath::SptResult /*spt_source*/,
-                                    spath::SptResult /*spt_target*/) const {
+PricedQuote Pricer::price_with_spts(
+    const ProfileSnapshot& snap, NodeId source, NodeId target,
+    const spath::SptResult& /*spt_source*/,
+    const spath::SptResult& /*spt_target*/) const {
   return price(snap, source, target);
 }
 
@@ -170,7 +170,8 @@ class NodeVcgPricer final : public Pricer {
 
   [[nodiscard]] PricedQuote price_with_spts(
       const ProfileSnapshot& snap, NodeId source, NodeId target,
-      spath::SptResult spt_source, spath::SptResult spt_target) const override {
+      const spath::SptResult& spt_source,
+      const spath::SptResult& spt_target) const override {
     if (engine_ != core::PaymentEngine::kFast) {
       return price(snap, source, target);
     }

@@ -96,11 +96,13 @@ class Pricer {
   /// Prices from SPT(source)/SPT(target) the caller already holds — e.g.
   /// warm trees incrementally repaired by spath::CostDelta. The trees
   /// must equal what a from-scratch Dijkstra on `snap`'s graph would
-  /// produce; output is identical to price(). The default ignores the
-  /// trees and delegates to price().
+  /// produce; output is identical to price(). The trees are only read,
+  /// so concurrent calls may share one (a batch's common target tree).
+  /// The default ignores the trees and delegates to price().
   [[nodiscard]] virtual PricedQuote price_with_spts(
       const ProfileSnapshot& snap, graph::NodeId source, graph::NodeId target,
-      spath::SptResult spt_source, spath::SptResult spt_target) const;
+      const spath::SptResult& spt_source,
+      const spath::SptResult& spt_target) const;
 };
 
 /// Engine selector for the link-weighted pricers.

@@ -353,31 +353,36 @@ std::optional<core::PaymentResult> QuoteEngine::quote(NodeId source,
   return quote_impl(source, target);
 }
 
-std::optional<core::PaymentResult> QuoteEngine::quote_impl(NodeId source,
-                                                           NodeId target) {
+std::uint64_t QuoteEngine::key_of(NodeId source, NodeId target) const {
   TC_CHECK_MSG(source < num_nodes_ && target < num_nodes_,
                "quote endpoint out of range");
   TC_CHECK_MSG(source != target, "source and target must differ");
-  const auto start = std::chrono::steady_clock::now();
-  const auto snap = snapshot_.load(std::memory_order_acquire);
-  const std::uint64_t key =
-      static_cast<std::uint64_t>(source) * num_nodes_ + target;
+  return static_cast<std::uint64_t>(source) * num_nodes_ + target;
+}
+
+bool QuoteEngine::serve_hit(std::uint64_t key, std::uint64_t epoch,
+                            Clock::time_point start,
+                            std::optional<core::PaymentResult>& out) {
   Shard& shard = *shards_[key % shards_.size()];
   {
     util::MutexLock lock(shard.mutex);
     auto it = shard.entries.find(key);
-    if (it != shard.entries.end() && it->second.epoch == snap->epoch()) {
-      core::PaymentResult result = it->second.quote.result;
-      metrics_.record_hit();
-      metrics_.record_served(elapsed_us(start));
-      if (!result.connected()) return std::nullopt;
-      return result;
-    }
+    if (it == shard.entries.end() || it->second.epoch != epoch) return false;
+    const core::PaymentResult& result = it->second.quote.result;
+    if (result.connected()) out = result;
   }
-  // Miss: price outside the shard lock against the frozen snapshot.
-  PricedQuote priced = price_on_miss(*snap, source, target);
-  priced.result.profile_version = snap->epoch();
-  core::PaymentResult result = priced.result;
+  metrics_.record_hit();
+  metrics_.record_served(elapsed_us(start));
+  return true;
+}
+
+std::optional<core::PaymentResult> QuoteEngine::install(
+    std::uint64_t key, std::uint64_t epoch, PricedQuote priced,
+    Clock::time_point start) {
+  priced.result.profile_version = epoch;
+  std::optional<core::PaymentResult> answer;
+  if (priced.result.connected()) answer = priced.result;
+  Shard& shard = *shards_[key % shards_.size()];
   {
     util::MutexLock lock(shard.mutex);
     auto it = shard.entries.find(key);
@@ -385,10 +390,9 @@ std::optional<core::PaymentResult> QuoteEngine::quote_impl(NodeId source,
       if (shard.entries.size() >= options_.max_entries_per_shard) {
         shard.entries.erase(shard.entries.begin());
       }
-      shard.entries.emplace(
-          key, CacheEntry{snap->epoch(), std::move(priced), 0.0});
-    } else if (it->second.epoch < snap->epoch()) {
-      it->second = CacheEntry{snap->epoch(), std::move(priced), 0.0};
+      shard.entries.emplace(key, CacheEntry{epoch, std::move(priced), 0.0});
+    } else if (it->second.epoch < epoch) {
+      it->second = CacheEntry{epoch, std::move(priced), 0.0};
     }
     // A concurrent reader already installed a same-or-newer entry: ours
     // is still a valid answer for *our* snapshot; just don't regress the
@@ -396,8 +400,19 @@ std::optional<core::PaymentResult> QuoteEngine::quote_impl(NodeId source,
   }
   metrics_.record_miss();
   metrics_.record_served(elapsed_us(start));
-  if (!result.connected()) return std::nullopt;
-  return result;
+  return answer;
+}
+
+std::optional<core::PaymentResult> QuoteEngine::quote_impl(NodeId source,
+                                                           NodeId target) {
+  const std::uint64_t key = key_of(source, target);
+  const auto start = Clock::now();
+  const auto snap = snapshot_.load(std::memory_order_acquire);
+  std::optional<core::PaymentResult> answer;
+  if (serve_hit(key, snap->epoch(), start, answer)) return answer;
+  // Miss: price outside the shard lock against the frozen snapshot.
+  return install(key, snap->epoch(), price_on_miss(*snap, source, target),
+                 start);
 }
 
 PricedQuote QuoteEngine::price_on_miss(const ProfileSnapshot& snap,
@@ -407,9 +422,8 @@ PricedQuote QuoteEngine::price_on_miss(const ProfileSnapshot& snap,
     spath::SptResult spt_target;
     if (warm_spts(snap, source, target, spt_source, spt_target)) {
       metrics_.record_warm_priced();
-      return pricer_->price_with_spts(snap, source, target,
-                                      std::move(spt_source),
-                                      std::move(spt_target));
+      return pricer_->price_with_spts(snap, source, target, spt_source,
+                                      spt_target);
     }
     metrics_.record_warm_fallback();
   }
@@ -530,86 +544,17 @@ void QuoteEngine::warm_poison() {
 }
 
 std::vector<std::optional<core::PaymentResult>> QuoteEngine::quote_all() {
-  std::vector<std::optional<core::PaymentResult>> quotes(num_nodes_);
-  util::ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : util::default_pool();
-  const auto snap = snapshot_.load(std::memory_order_acquire);
-  if (snap->model() == GraphModel::kNode && pricer_->accepts_warm_spts()) {
-    quote_all_batched(snap, quotes, pool);
-    return quotes;
-  }
-  pool.parallel_for(0, num_nodes_, [&](std::size_t v) {
-    if (v == access_point_) return;
-    quotes[v] = quote_impl(static_cast<NodeId>(v), access_point_);
-  });
-  return quotes;
-}
-
-void QuoteEngine::quote_all_batched(
-    const std::shared_ptr<const ProfileSnapshot>& snap,
-    std::vector<std::optional<core::PaymentResult>>& quotes,
-    util::ThreadPool& pool) {
-  const auto start = std::chrono::steady_clock::now();
-  // Serve cache hits and collect the misses. Sources are visited in
-  // ascending order, so the miss list (and with it the batch layout) is
-  // deterministic.
-  std::vector<NodeId> miss;
-  miss.reserve(num_nodes_);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  pairs.reserve(num_nodes_);
   for (NodeId v = 0; v < num_nodes_; ++v) {
-    if (v == access_point_) continue;
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(v) * num_nodes_ + access_point_;
-    Shard& shard = *shards_[key % shards_.size()];
-    util::MutexLock lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end() && it->second.epoch == snap->epoch()) {
-      metrics_.record_hit();
-      const core::PaymentResult& result = it->second.quote.result;
-      if (result.connected()) quotes[v] = result;
-    } else {
-      miss.push_back(v);
-    }
+    if (v != access_point_) pairs.emplace_back(v, access_point_);
   }
-  if (miss.empty()) return;
-  // One multi-source batched solve covers the shared target tree (row 0)
-  // and every missing source's tree — the workspace and its heap stay
-  // hot across roots instead of re-warming once per quote_impl miss.
-  std::vector<NodeId> roots;
-  roots.reserve(miss.size() + 1);
-  roots.push_back(access_point_);
-  roots.insert(roots.end(), miss.begin(), miss.end());
-  spath::SptMatrix matrix;
-  spath::spt_multi_into(spath::thread_local_workspace(), matrix, snap->node(),
-                        roots);
-  // Pricing fans out: each miss reads its own matrix row plus the shared
-  // target row, so workers share no mutable state.
-  pool.parallel_for(0, miss.size(), [&](std::size_t i) {
-    const NodeId source = miss[i];
-    PricedQuote priced =
-        pricer_->price_with_spts(*snap, source, access_point_,
-                                 matrix.to_result(i + 1), matrix.to_result(0));
-    priced.result.profile_version = snap->epoch();
-    const core::PaymentResult result = priced.result;
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(source) * num_nodes_ + access_point_;
-    Shard& shard = *shards_[key % shards_.size()];
-    {
-      util::MutexLock lock(shard.mutex);
-      auto it = shard.entries.find(key);
-      if (it == shard.entries.end()) {
-        if (shard.entries.size() >= options_.max_entries_per_shard) {
-          shard.entries.erase(shard.entries.begin());
-        }
-        shard.entries.emplace(
-            key, CacheEntry{snap->epoch(), std::move(priced), 0.0});
-      } else if (it->second.epoch < snap->epoch()) {
-        it->second = CacheEntry{snap->epoch(), std::move(priced), 0.0};
-      }
-    }
-    metrics_.record_miss();
-    metrics_.record_served(elapsed_us(start));
-    if (result.connected()) quotes[source] = result;
-  });
+  auto answers = quote_batch(pairs);
+  std::vector<std::optional<core::PaymentResult>> quotes(num_nodes_);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    quotes[pairs[i].first] = std::move(answers[i]);
+  }
+  return quotes;
 }
 
 std::vector<std::optional<core::PaymentResult>> QuoteEngine::quote_batch(
@@ -624,87 +569,55 @@ std::vector<std::optional<core::PaymentResult>> QuoteEngine::quote_batch(
     });
     return quotes;
   }
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
   // Serve cache hits against the frozen snapshot and collect the misses.
-  // Pairs are visited in request order, so the miss list (and the batch
-  // layout behind it) is deterministic.
+  // Pairs are visited in request order, so the miss list is deterministic.
   std::vector<std::size_t> miss;
   miss.reserve(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto [source, target] = pairs[i];
-    TC_CHECK_MSG(source < num_nodes_ && target < num_nodes_,
-                 "quote endpoint out of range");
-    TC_CHECK_MSG(source != target, "source and target must differ");
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(source) * num_nodes_ + target;
-    Shard& shard = *shards_[key % shards_.size()];
-    util::MutexLock lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end() && it->second.epoch == snap->epoch()) {
-      metrics_.record_hit();
-      metrics_.record_served(elapsed_us(start));
-      const core::PaymentResult& result = it->second.quote.result;
-      if (result.connected()) quotes[i] = result;
-    } else {
-      miss.push_back(i);
-    }
+    const std::uint64_t key = key_of(pairs[i].first, pairs[i].second);
+    if (!serve_hit(key, snap->epoch(), start, quotes[i])) miss.push_back(i);
   }
   if (miss.empty()) return quotes;
   if (miss.size() < 2) {
     // One miss amortizes nothing; the scalar path still gets the warm
-    // per-root SPT cache, which a cold multi-source solve would bypass.
+    // per-root SPT cache, which a cold solve would bypass.
     const std::size_t i = miss.front();
     quotes[i] = quote_impl(pairs[i].first, pairs[i].second);
     return quotes;
   }
-  // One multi-source batched solve over the distinct endpoints of every
-  // missing pair: the workspace and its heap stay hot across roots
-  // instead of re-warming once per quote_impl miss.
-  std::vector<NodeId> roots;
-  roots.reserve(miss.size() * 2);
-  for (const std::size_t i : miss) {
-    roots.push_back(pairs[i].first);
-    roots.push_back(pairs[i].second);
+  // Each distinct target tree is solved once, on the calling thread
+  // (which would otherwise only wait; the pool may serve several
+  // engines), and then only read. Each miss's source tree is solved by
+  // the worker that prices it, in that worker's own workspace, so the
+  // pool solves and prices at its full width and no tree is copied per
+  // miss.
+  const graph::NodeGraph& g = snap->node();
+  std::vector<NodeId> targets;
+  targets.reserve(miss.size());
+  for (const std::size_t i : miss) targets.push_back(pairs[i].second);
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  std::vector<spath::SptResult> target_trees;
+  target_trees.reserve(targets.size());
+  for (const NodeId target : targets) {
+    spath::DijkstraWorkspace& ws = spath::thread_local_workspace();
+    spath::dijkstra_node_into(ws, g, target);
+    target_trees.push_back(ws.to_result());
   }
-  std::sort(roots.begin(), roots.end());
-  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-  spath::SptMatrix matrix;
-  spath::spt_multi_into(spath::thread_local_workspace(), matrix, snap->node(),
-                        roots);
-  const auto row_of = [&](NodeId v) {
-    const std::size_t idx = static_cast<std::size_t>(
-        std::lower_bound(roots.begin(), roots.end(), v) - roots.begin());
-    return matrix.to_result(idx);
-  };
-  // Pricing fans out: each miss reads its own two matrix rows, so the
-  // workers share no mutable state.
   pool.parallel_for(0, miss.size(), [&](std::size_t m) {
     const std::size_t i = miss[m];
     const auto [source, target] = pairs[i];
-    PricedQuote priced = pricer_->price_with_spts(*snap, source, target,
-                                                  row_of(source),
-                                                  row_of(target));
-    priced.result.profile_version = snap->epoch();
-    const core::PaymentResult result = priced.result;
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(source) * num_nodes_ + target;
-    Shard& shard = *shards_[key % shards_.size()];
-    {
-      util::MutexLock lock(shard.mutex);
-      auto it = shard.entries.find(key);
-      if (it == shard.entries.end()) {
-        if (shard.entries.size() >= options_.max_entries_per_shard) {
-          shard.entries.erase(shard.entries.begin());
-        }
-        shard.entries.emplace(
-            key, CacheEntry{snap->epoch(), std::move(priced), 0.0});
-      } else if (it->second.epoch < snap->epoch()) {
-        it->second = CacheEntry{snap->epoch(), std::move(priced), 0.0};
-      }
-    }
-    metrics_.record_miss();
-    metrics_.record_served(elapsed_us(start));
-    if (result.connected()) quotes[i] = result;
+    const auto j = static_cast<std::size_t>(
+        std::lower_bound(targets.begin(), targets.end(), target) -
+        targets.begin());
+    spath::DijkstraWorkspace& ws = spath::thread_local_workspace();
+    spath::dijkstra_node_into(ws, g, source);
+    quotes[i] = install(key_of(source, target), snap->epoch(),
+                        pricer_->price_with_spts(*snap, source, target,
+                                                 ws.to_result(),
+                                                 target_trees[j]),
+                        start);
   });
   return quotes;
 }

@@ -18,8 +18,11 @@
 //     its own mutex and map, so concurrent quote() calls on different
 //     keys do not contend. Shard locks are held only for map
 //     lookup/insert — pricing runs lock-free against the snapshot.
-//   * quote_all() and quote_batch() fan out over
-//     util::ThreadPool::parallel_for.
+//   * quote_all() is quote_batch() over every (source, access point)
+//     pair. quote_batch() serves hits in request order. For two or more
+//     misses the calling thread solves each distinct target tree once,
+//     then util::ThreadPool::parallel_for lets each worker solve and
+//     price one miss's source tree at a time in its own workspace.
 //
 // Incremental invalidation
 //   A re-declaration by node v evicts exactly the cached quotes v can
@@ -53,6 +56,7 @@
 //   (metrics: warm_repairs / warm_solves / warm_priced / warm_fallbacks).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -145,8 +149,8 @@ class QuoteEngine {
   [[nodiscard]] std::optional<core::PaymentResult> quote(
       graph::NodeId source, graph::NodeId target);
 
-  /// Quotes for every source toward the access point, fanned out over
-  /// the thread pool. quotes[access_point] is nullopt.
+  /// Quotes for every source toward the access point: quote_batch over
+  /// the (v, access point) pairs. quotes[access_point] is nullopt.
   [[nodiscard]] std::vector<std::optional<core::PaymentResult>> quote_all();
 
   /// Bulk pair quotes, fanned out over the thread pool.
@@ -218,15 +222,24 @@ class QuoteEngine {
     spath::SptMatrix matrix TC_GUARDED_BY(mutex);
   };
 
+  using Clock = std::chrono::steady_clock;
+
   std::optional<core::PaymentResult> quote_impl(graph::NodeId source,
                                                 graph::NodeId target);
-  /// quote_all's fast path for warm-capable node pricers: solves the
-  /// shared target tree and every cache-missing source's tree in one
-  /// batched multi-source pass, then prices the misses on the pool.
-  void quote_all_batched(
-      const std::shared_ptr<const ProfileSnapshot>& snap,
-      std::vector<std::optional<core::PaymentResult>>& quotes,
-      util::ThreadPool& pool);
+  /// Cache key of a validated (source, target) pair.
+  std::uint64_t key_of(graph::NodeId source, graph::NodeId target) const;
+  /// On a cache entry priced under `epoch`: writes its answer to `out`,
+  /// records the hit and returns true. Otherwise returns false.
+  bool serve_hit(std::uint64_t key, std::uint64_t epoch,
+                 Clock::time_point start,
+                 std::optional<core::PaymentResult>& out);
+  /// Stamps a freshly priced miss with `epoch`, caches it unless a
+  /// same-or-newer entry is already there, records the miss and returns
+  /// the answer (nullopt when unreachable).
+  std::optional<core::PaymentResult> install(std::uint64_t key,
+                                             std::uint64_t epoch,
+                                             PricedQuote priced,
+                                             Clock::time_point start);
   /// Miss path: warm SPT pricing when available, cold pricing otherwise.
   [[nodiscard]] PricedQuote price_on_miss(const ProfileSnapshot& snap,
                                           graph::NodeId source,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "graph/generators.hpp"
 #include "mech/invariants.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tc::svc {
 namespace {
@@ -201,6 +203,96 @@ TEST(QuoteEngine, QuoteBatchPricesArbitraryPairs) {
     expect_same_quote(*quotes[i], core::vcg_payments_fast(g, pairs[i].first,
                                                           pairs[i].second));
   }
+}
+
+/// Exact equality: same path, and path cost and payments equal bit for bit
+/// (the epoch stamp is not compared).
+void expect_bit_identical(const std::optional<core::PaymentResult>& got,
+                          const core::PaymentResult& want) {
+  ASSERT_EQ(got.has_value(), want.connected());
+  if (!got) return;
+  EXPECT_EQ(got->path, want.path);
+  EXPECT_EQ(std::memcmp(&got->path_cost, &want.path_cost, sizeof(Cost)), 0);
+  ASSERT_EQ(got->payments.size(), want.payments.size());
+  EXPECT_EQ(std::memcmp(got->payments.data(), want.payments.data(),
+                        want.payments.size() * sizeof(Cost)),
+            0);
+}
+
+// quote_all and quote_batch price their misses on the engine's pool: one
+// solve per distinct target, then each worker solves and prices its own
+// misses' source trees. The answers must not depend on the pool's width.
+TEST(QuoteEngine, BatchAnswersDoNotDependOnPoolWidth) {
+  const auto g = graph::make_unit_disk_node({96, {1600.0, 1600.0}, 330.0, 2.0},
+                                            1.0, 10.0, /*seed=*/7);
+  // Shared sources and targets, a pair whose source is another pair's
+  // target (40 -> 90, 90 -> 5), both directions of one pair, and pairs
+  // into the access point; every batch below misses more than once.
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {
+      {5, 40}, {17, 40}, {40, 90}, {5, 90}, {90, 5},
+      {33, 61}, {61, 33}, {2, 0}, {71, 0}, {2, 40}};
+  const std::vector<std::pair<NodeId, NodeId>> repeat = {
+      {5, 40}, {64, 12}, {12, 64}, {40, 90}, {80, 5}};
+  struct Answers {
+    std::vector<std::optional<core::PaymentResult>> all, batch, mixed;
+  };
+  const auto run = [&](std::size_t workers) {
+    util::ThreadPool pool(workers);
+    QuoteEngine::Options options;
+    options.pool = &pool;
+    QuoteEngine engine(g, 0, nullptr, options);
+    Answers out;
+    out.all = engine.quote_all();
+    out.batch = engine.quote_batch(pairs);
+    out.mixed = engine.quote_batch(repeat);  // hits and misses
+    return out;
+  };
+  const Answers narrow = run(1);
+  const Answers wide = run(4);
+  const auto check = [&](const std::vector<std::pair<NodeId, NodeId>>& asked,
+                         const auto& a, const auto& b) {
+    ASSERT_EQ(a.size(), asked.size());
+    ASSERT_EQ(b.size(), asked.size());
+    for (std::size_t i = 0; i < asked.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << asked[i].first << " -> "
+                                      << asked[i].second);
+      const core::PaymentResult want =
+          core::vcg_payments_fast(g, asked[i].first, asked[i].second);
+      expect_bit_identical(a[i], want);
+      expect_bit_identical(b[i], want);
+    }
+  };
+  std::vector<std::pair<NodeId, NodeId>> to_ap;
+  for (NodeId v = 1; v < g.num_nodes(); ++v) to_ap.emplace_back(v, 0);
+  ASSERT_FALSE(narrow.all[0].has_value());
+  ASSERT_FALSE(wide.all[0].has_value());
+  check(to_ap, std::vector(narrow.all.begin() + 1, narrow.all.end()),
+        std::vector(wide.all.begin() + 1, wide.all.end()));
+  check(pairs, narrow.batch, wide.batch);
+  check(repeat, narrow.mixed, wide.mixed);
+}
+
+// Every answer quote(), quote_all() and quote_batch() return is served
+// exactly once, as a hit or as a miss.
+TEST(QuoteEngine, EveryAnswerIsCountedAsServed) {
+  const auto g = graph::make_grid(5, 5, 1.5);
+  QuoteEngine engine(g, 0);
+  const auto expect_balanced = [&](std::uint64_t hits, std::uint64_t misses) {
+    const MetricsSnapshot m = engine.metrics();
+    EXPECT_EQ(m.cache_hits, hits);
+    EXPECT_EQ(m.cache_misses, misses);
+    EXPECT_EQ(m.quotes_served, m.cache_hits + m.cache_misses);
+  };
+  (void)engine.quote_all();  // cold: every source misses
+  expect_balanced(0, 24);
+  (void)engine.quote_all();  // warm: every source hits
+  expect_balanced(24, 24);
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {
+      {3, 0}, {3, 21}, {21, 3}, {7, 18}};
+  (void)engine.quote_batch(pairs);  // (3, 0) hits, three misses
+  expect_balanced(25, 27);
+  (void)engine.quote_batch(pairs);  // all hits
+  expect_balanced(29, 27);
 }
 
 // The ISSUE's core incremental-invalidation acceptance test: across many

@@ -22,9 +22,11 @@ run in CI, so a violation fails the build. Rules:
                 allocation for a whole many-roots pass, never per root),
                 MaskedSptDelta::eval and CostDelta::apply_* reuse
                 grow-only arenas (DijkstraWorkspace) instead of building
-                O(n) state per invocation. This rule walks the call
-                graph from those roots and rejects any reachable
-                function that constructs
+                O(n) state per invocation, and Algorithm 1's steps 2-5
+                (core's fast_payments_from_spts) run on per-thread
+                scratch with the returned PaymentResult as their only
+                allocation. This rule walks the call graph from those
+                roots and rejects any reachable function that constructs
                 a local std container, calls make_unique/make_shared,
                 uses a new-expression, or calls an allocating
                 spath::dijkstra_* entry point (the non-_into forms).
@@ -32,7 +34,8 @@ run in CI, so a violation fails the build. Rules:
                 the point, not a violation, and is not matched.
                 Memoized boundaries (see HOT_ALLOC_BOUNDARIES) are
                 dirty-flag or CAS-gated rebuilds whose cost is amortized
-                across calls; traversal does not descend into them.
+                across calls, or debug-only audits; traversal does not
+                descend into them.
 
   reader-locks  QuoteEngine's pricing layer runs against a frozen
                 ProfileSnapshot and must stay lock-free: every mutex the
@@ -127,26 +130,31 @@ LAYER_DEPS: dict[str, tuple[str, ...]] = {
             "distsim"),
 }
 
-# hot-alloc roots: every function named *_into, plus the repair kernels
-# (restricted to definitions under these directories so an unrelated
-# `eval` elsewhere cannot become a root).
+# hot-alloc roots: every function named *_into, plus named kernels, each
+# only where it is defined (so an unrelated `eval` elsewhere cannot become
+# a root): the spath repair kernels and Algorithm 1's steps 2-5.
 HOT_ROOT_SUFFIX = "_into"
-HOT_EXTRA_ROOTS = ("eval", "apply_node_cost", "apply_arc_cost")
-HOT_ROOT_DIRS = ("src/spath",)
+HOT_EXTRA_ROOTS = {
+    "eval": "src/spath",
+    "apply_node_cost": "src/spath",
+    "apply_arc_cost": "src/spath",
+    "fast_payments_from_spts": "src/core",
+}
 
-# Functions the hot-alloc traversal treats as amortized-O(1) boundaries:
-# they rebuild a memoized structure behind a dirty flag / CAS and are
-# paid once per invalidation, not per kernel call. Their own cost is
-# covered by their unit tests; descending into them would flag the
-# one-time rebuild as per-call allocation.
+# Functions the hot-alloc traversal does not descend into: memoized
+# structures rebuilt behind a dirty flag / CAS, paid once per
+# invalidation rather than per kernel call (their unit tests cover their
+# cost; descending would flag the one-time rebuild as per-call
+# allocation), and audits that run only inside TC_DCHECK, which release
+# builds never evaluate.
 HOT_ALLOC_BOUNDARIES = {
     "reverse": "LinkGraph::reverse(): CAS-memoized reverse CSR",
     "ensure_children": "CostDelta::ensure_children(): dirty-flag rebuild",
+    "audit_ok": "core::internal::audit_ok(): TC_DCHECK-only payment audit",
 }
 
 # reader-locks roots: the pricing entry points, restricted to src/svc.
-READER_ROOTS = ("price", "price_with_spts")
-READER_ROOT_DIRS = ("src/svc",)
+READER_ROOTS = {"price": "src/svc", "price_with_spts": "src/svc"}
 READER_BOUNDARIES: dict[str, str] = {}
 
 ALLOW_FMT = "tc-analyze: allow({rule})"
@@ -651,21 +659,25 @@ def _chain(seen: dict[str, tuple[FunctionFact, str | None]],
     return " <- ".join(parts)
 
 
-def _check_callgraph(facts: Facts, rule: str, root_names: tuple[str, ...],
-                     root_suffix: str | None, root_dirs: tuple[str, ...],
+def _check_callgraph(facts: Facts, rule: str, root_names: dict[str, str],
+                     root_suffix: str | None,
                      boundaries: dict[str, str], what: str) -> list[str]:
+    """`root_names` maps each named root to the directory it must be
+    defined under; `root_suffix` makes every function so named a root."""
     roots = []
     for f in facts.functions:
         rel = str(f.path.relative_to(facts.root))
-        in_root_dir = any(rel.startswith(d + "/") for d in root_dirs)
         if root_suffix and f.name.endswith(root_suffix):
             roots.append(f)
-        elif f.name in root_names and in_root_dir:
+        elif f.name in root_names and rel.startswith(root_names[f.name] + "/"):
             roots.append(f)
     if not roots:
+        expected = [f"{name} under {d}" for name, d in root_names.items()]
+        if root_suffix:
+            expected.insert(0, f"*{root_suffix}")
         return [f"<project>: [{rule}] no root functions found "
-                f"(expected {root_suffix or ''} {'/'.join(root_names)} "
-                f"under {', '.join(root_dirs)}); the rule would be vacuous"]
+                f"(expected {', '.join(expected)}); the rule would be "
+                f"vacuous"]
     index = facts.by_name()
     seen = _reachable(facts, roots, boundaries)
     violations = []
@@ -735,14 +747,14 @@ def check_lock_order(facts: Facts) -> list[str]:
 
 def check_hot_alloc(facts: Facts) -> list[str]:
     return _check_callgraph(
-        facts, "hot-alloc", HOT_EXTRA_ROOTS, HOT_ROOT_SUFFIX, HOT_ROOT_DIRS,
+        facts, "hot-alloc", HOT_EXTRA_ROOTS, HOT_ROOT_SUFFIX,
         HOT_ALLOC_BOUNDARIES, "the workspace kernels")
 
 
 def check_reader_locks(facts: Facts) -> list[str]:
     return _check_callgraph(
-        facts, "reader-locks", READER_ROOTS, None, READER_ROOT_DIRS,
-        READER_BOUNDARIES, "the lock-free pricing path")
+        facts, "reader-locks", READER_ROOTS, None, READER_BOUNDARIES,
+        "the lock-free pricing path")
 
 
 CHECKS = {

@@ -5,9 +5,11 @@ Each directory under tests/analyze_fixtures/ is a miniature repo root.
 `<rule>_bad` fixtures must be rejected by exactly that rule (exit 1 with
 an [<rule>] tag); `*_allowed` fixtures carry a `tc-analyze: allow(...)`
 waiver and must pass; `clean/` must pass all five rules *non-vacuously*
-(it defines real hot-path and pricing roots, and a correctly-ordered
-steal-then-sched lock nest for lock-order). The real repo root must
-pass every rule too.
+(it defines real hot-path and pricing roots, an Algorithm 1 kernel whose
+debug-only audit allocates behind the audit_ok boundary, and a
+correctly-ordered steal-then-sched lock nest for lock-order). The real
+repo root must pass every rule too, and a queue seeded into its
+Algorithm 1 kernel must be caught.
 
 Engine selection: the internal engine always runs and is the blocking
 gate. Setting TC_ANALYZE_LIBCLANG=1 additionally checks every fixture
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import unittest
@@ -31,11 +34,15 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 ANALYZE = REPO / "tools" / "tc_analyze.py"
 FIXTURES = REPO / "tests" / "analyze_fixtures"
 
+sys.path.insert(0, str(ANALYZE.parent))
+import tc_analyze  # noqa: E402  (the module under test)
+
 # fixture -> (rule to run, expected tag or None for clean).
 EXPECTATIONS = {
     "layers_bad": ("layers", "layers"),
     "hot_alloc_bad": ("hot-alloc", "hot-alloc"),
     "hot_alloc_batched_bad": ("hot-alloc", "hot-alloc"),
+    "hot_alloc_core_bad": ("hot-alloc", "hot-alloc"),
     "hot_alloc_allowed": ("hot-alloc", None),
     "reader_locks_bad": ("reader-locks", "reader-locks"),
     "mutable_const_bad": ("mutable-const", "mutable-const"),
@@ -104,6 +111,27 @@ class AnalyzeFixtureTest(unittest.TestCase):
     def test_missing_root_exits_2(self) -> None:
         proc = run_analyze(FIXTURES / "no_such_dir", ("layers",))
         self.assertEqual(proc.returncode, 2)
+
+    def test_queue_in_real_algorithm1_kernel_is_caught(self) -> None:
+        """Seeds a local std::priority_queue into the repo's own steps 2-5
+        kernel (in memory; no file is written): the rule must reject it,
+        so the kernel is a root under its current name and a rename
+        cannot drop the guard unnoticed."""
+        facts = tc_analyze.load_files(REPO)
+        kernel = REPO / "src" / "core" / "fast_payment.cpp"
+        head = re.search(r"\nPaymentResult fast_payments_from_spts\([^{]*\{\n",
+                         facts.raw[kernel])
+        self.assertIsNotNone(head, "Algorithm 1 kernel not found")
+        seeded = (facts.raw[kernel][:head.end()] +
+                  "  std::priority_queue<double> seeded(std::less<>());\n" +
+                  facts.raw[kernel][head.end():])
+        facts.raw[kernel] = seeded
+        facts.code[kernel] = tc_analyze.strip_comments_and_strings(seeded)
+        tc_analyze.internal_extract(facts)
+        violations = tc_analyze.check_hot_alloc(facts)
+        self.assertEqual(len(violations), 1, "\n".join(violations))
+        self.assertIn("std::priority_queue<double> seeded", violations[0])
+        self.assertIn("in `fast_payments_from_spts`", violations[0])
 
     def test_real_repo_is_clean(self) -> None:
         for engine in self.engines:
