@@ -35,7 +35,9 @@ NodeGraphBuilder::NodeGraphBuilder(std::size_t num_nodes)
     : costs_(num_nodes, 0.0) {}
 
 NodeGraphBuilder& NodeGraphBuilder::set_node_cost(NodeId v, Cost c) {
-  if (c < 0.0) throw std::invalid_argument("node cost must be non-negative");
+  // !(c >= 0) rather than c < 0: NaN must fail too. +inf (down) passes.
+  if (!(c >= 0.0))
+    throw std::invalid_argument("node cost must be non-negative");
   costs_.at(v) = c;
   return *this;
 }
@@ -44,7 +46,8 @@ NodeGraphBuilder& NodeGraphBuilder::set_costs(std::vector<Cost> costs) {
   if (costs.size() != costs_.size())
     throw std::invalid_argument("cost vector size must match node count");
   for (Cost c : costs)
-    if (c < 0.0) throw std::invalid_argument("node cost must be non-negative");
+    if (!(c >= 0.0))
+      throw std::invalid_argument("node cost must be non-negative");
   costs_ = std::move(costs);
   return *this;
 }

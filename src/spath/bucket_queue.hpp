@@ -51,6 +51,9 @@ class BucketQueue {
  public:
   static constexpr std::size_t kNumBuckets = 1024;  // power of two
 
+  /// Sizes the key arrays only. The bucket array (kNumBuckets vectors,
+  /// ~24 KB) is allocated by the first reset(), i.e. the first kBucket
+  /// run, so a workspace that never runs kBucket never pays for it.
   explicit BucketQueue(std::size_t num_keys) { grow_keys(num_keys); }
 
   /// Declares an upper bound on every relaxation increment (the largest
@@ -73,7 +76,9 @@ class BucketQueue {
 
   /// Re-keys for `num_keys` keys and empties the queue in O(touched
   /// buckets + leftover entries) — the same reuse hook as IndexedDHeap.
+  /// Must precede the first push.
   void reset(std::size_t num_keys) {
+    if (buckets_.empty()) buckets_.resize(kNumBuckets);
     for (const std::uint32_t b : used_) buckets_[b].clear();
     used_.clear();
     std::fill(bits_, bits_ + kNumWords, 0ull);
@@ -182,7 +187,6 @@ class BucketQueue {
       stamp_.resize(num_keys, 0u);
       prio_.resize(num_keys, 0.0);
     }
-    if (buckets_.empty()) buckets_.resize(kNumBuckets);
   }
 
   double inv_delta_ = static_cast<double>(kNumBuckets - 2);  // bound 1.0

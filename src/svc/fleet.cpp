@@ -182,15 +182,20 @@ bool Fleet::admit_and_stage(Shard& shard, Pending& p, Response& reject) {
     reject.status = Status::kShedQueueFull;
     return false;
   }
+  // Count before the push: once pushed, the worker may stage and detach
+  // the request (subtracting it) before this thread runs again, and a
+  // late increment would let the unsigned count wrap below zero, shedding
+  // every submit to the shard until it landed.
+  shard.queued.fetch_add(1, std::memory_order_relaxed);
   // try_push moves from p only on success; a rejected p still owns its
   // promise, which the shed path must answer.
   if (!shard.mailbox.try_push(std::move(p))) {
+    shard.queued.fetch_sub(1, std::memory_order_relaxed);
     reject.status = stopping_.load(std::memory_order_acquire)
                         ? Status::kShutdown
                         : Status::kShedQueueFull;
     return false;
   }
-  shard.queued.fetch_add(1, std::memory_order_relaxed);
   // Lock-then-notify pairs with the worker's check-then-wait under the
   // same mutex, so a push can never slip between its check and its wait.
   {
@@ -530,7 +535,11 @@ void Fleet::execute_one(Shard& shard, Pending& p, QuoteEngine*& engine) {
     const bool pricer_ok =
         create->pricer == nullptr ||
         create->pricer->model() == GraphModel::kNode;
-    if (create->access_point >= n || !pricer_ok) {
+    // +inf is legal (a node that is down); NaN and negatives are not.
+    const auto& costs = create->topology.costs();
+    const bool costs_ok = std::all_of(costs.begin(), costs.end(),
+                                      [](graph::Cost c) { return c >= 0.0; });
+    if (create->access_point >= n || !pricer_ok || !costs_ok) {
       r.status = Status::kInvalidRequest;
       finish(p, std::move(r));
       return;

@@ -211,7 +211,9 @@ class Fleet {
   const Config& config() const { return config_; }
 
   /// Point-in-time fleet-wide + per-tenant instrumentation snapshot.
-  [[nodiscard]] FleetMetricsSnapshot metrics() { return metrics_.snapshot(); }
+  [[nodiscard]] FleetMetricsSnapshot metrics() const {
+    return metrics_.snapshot();
+  }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -8,7 +8,7 @@ namespace tc::svc {
 void Metrics::record_served(double latency_us) {
   quotes_served_.fetch_add(1, std::memory_order_relaxed);
   util::MutexLock lock(latency_mutex_);
-  latencies_.add(latency_us);
+  latencies_.record(latency_us * 1e3);
 }
 
 void Metrics::record_evictions(std::uint64_t evicted, std::uint64_t retained) {
@@ -31,13 +31,11 @@ MetricsSnapshot Metrics::snapshot() const {
   s.warm_fallbacks = warm_fallbacks_.load(std::memory_order_relaxed);
   s.snapshot_rebases = snapshot_rebases_.load(std::memory_order_relaxed);
   util::MutexLock lock(latency_mutex_);
-  if (latencies_.count() > 0) {
-    s.latency_p50_us = latencies_.percentile(50.0);
-    s.latency_p90_us = latencies_.percentile(90.0);
-    s.latency_p99_us = latencies_.percentile(99.0);
-    s.latency_p999_us = latencies_.percentile(99.9);
-    s.latency_max_us = latencies_.percentile(100.0);
-  }
+  s.latency_p50_us = latencies_.percentile(50.0) / 1e3;
+  s.latency_p90_us = latencies_.percentile(90.0) / 1e3;
+  s.latency_p99_us = latencies_.percentile(99.0) / 1e3;
+  s.latency_p999_us = latencies_.percentile(99.9) / 1e3;
+  s.latency_max_us = latencies_.max() / 1e3;
   return s;
 }
 
@@ -71,30 +69,17 @@ void FleetMetrics::record_served(TenantId tenant, Priority priority,
   served_.fetch_add(1, std::memory_order_relaxed);
   (priority == Priority::kInteractive ? interactive_served_ : batch_served_)
       .fetch_add(1, std::memory_order_relaxed);
-  {
-    util::MutexLock lock(class_mutex_);
-    (priority == Priority::kInteractive ? interactive_ : batch_)
-        .add(latency_us);
-  }
-  with_tenant(tenant, [&](TenantStats& t) {
+  book_answer(tenant, priority, latency_us, [&](TenantStats& t) {
     ++t.served;
     if (unroutable) ++t.unroutable;
-    t.latencies.add(latency_us);
   });
 }
 
 void FleetMetrics::record_declare(TenantId tenant, Priority priority,
                                   double latency_us) {
   declares_.fetch_add(1, std::memory_order_relaxed);
-  {
-    util::MutexLock lock(class_mutex_);
-    (priority == Priority::kInteractive ? interactive_ : batch_)
-        .add(latency_us);
-  }
-  with_tenant(tenant, [&](TenantStats& t) {
-    ++t.declares;
-    t.latencies.add(latency_us);
-  });
+  book_answer(tenant, priority, latency_us,
+              [](TenantStats& t) { ++t.declares; });
 }
 
 namespace {
@@ -130,7 +115,7 @@ void FleetMetrics::record_expired(TenantId tenant, Priority priority) {
   with_tenant(tenant, [](TenantStats& t) { ++t.expired; });
 }
 
-FleetMetricsSnapshot FleetMetrics::snapshot() {
+FleetMetricsSnapshot FleetMetrics::snapshot() const {
   FleetMetricsSnapshot s;
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.served = served_.load(std::memory_order_relaxed);
@@ -149,22 +134,13 @@ FleetMetricsSnapshot FleetMetrics::snapshot() {
   s.interactive_denied = interactive_denied_.load(std::memory_order_relaxed);
   s.batch_served = batch_served_.load(std::memory_order_relaxed);
   s.batch_denied = batch_denied_.load(std::memory_order_relaxed);
-  {
-    util::MutexLock lock(class_mutex_);
-    if (interactive_.count() > 0) {
-      s.interactive_p50_us = interactive_.percentile(50.0);
-      s.interactive_p99_us = interactive_.percentile(99.0);
-      s.interactive_p999_us = interactive_.percentile(99.9);
-    }
-    if (batch_.count() > 0) {
-      s.batch_p50_us = batch_.percentile(50.0);
-      s.batch_p99_us = batch_.percentile(99.0);
-      s.batch_p999_us = batch_.percentile(99.9);
-    }
-  }
-  for (Stripe& stripe : stripes_) {
+  std::array<util::LatencyHistogram, 2> classes;
+  for (const Stripe& stripe : stripes_) {
     util::MutexLock lock(stripe.mutex);
-    for (auto& [tenant, stats] : stripe.tenants) {
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      classes[c].merge(stripe.classes[c]);
+    }
+    for (const auto& [tenant, stats] : stripe.tenants) {
       TenantMetricsRow row;
       row.tenant = tenant;
       row.served = stats.served;
@@ -173,15 +149,21 @@ FleetMetricsSnapshot FleetMetrics::snapshot() {
       row.shed = stats.shed;
       row.throttled = stats.throttled;
       row.expired = stats.expired;
-      if (stats.latencies.count() > 0) {
-        row.latency_p50_us = stats.latencies.percentile(50.0);
-        row.latency_p99_us = stats.latencies.percentile(99.0);
-        row.latency_p999_us = stats.latencies.percentile(99.9);
-        row.latency_max_us = stats.latencies.percentile(100.0);
-      }
+      row.latency_p50_us = stats.latencies.percentile(50.0) / 1e3;
+      row.latency_p99_us = stats.latencies.percentile(99.0) / 1e3;
+      row.latency_p999_us = stats.latencies.percentile(99.9) / 1e3;
+      row.latency_max_us = stats.latencies.max() / 1e3;
       s.tenants.push_back(row);
     }
   }
+  const auto& inter = classes[static_cast<std::size_t>(Priority::kInteractive)];
+  s.interactive_p50_us = inter.percentile(50.0) / 1e3;
+  s.interactive_p99_us = inter.percentile(99.0) / 1e3;
+  s.interactive_p999_us = inter.percentile(99.9) / 1e3;
+  const auto& batch = classes[static_cast<std::size_t>(Priority::kBatch)];
+  s.batch_p50_us = batch.percentile(50.0) / 1e3;
+  s.batch_p99_us = batch.percentile(99.0) / 1e3;
+  s.batch_p999_us = batch.percentile(99.9) / 1e3;
   std::sort(s.tenants.begin(), s.tenants.end(),
             [](const TenantMetricsRow& a, const TenantMetricsRow& b) {
               return a.tenant < b.tenant;

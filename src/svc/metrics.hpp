@@ -2,18 +2,22 @@
 // fleet-wide admission/latency book (FleetMetrics).
 //
 // Counters are lock-free atomics so concurrent quote() calls never
-// serialize on bookkeeping; per-quote latencies go through a small
-// mutex-guarded util::Percentiles reservoir (one lock per served quote,
-// far cheaper than the Dijkstra work it measures). `snapshot()` is safe
-// to call at any time from any thread.
+// serialize on bookkeeping; per-quote latencies go into a mutex-guarded
+// util::LatencyHistogram (one lock per served quote, far cheaper than the
+// Dijkstra work it measures). A histogram's size is set by the range of
+// latencies it has seen, never by how many it has counted, so a book
+// stays bounded however long the service runs. `snapshot()` is safe to
+// call at any time from any thread.
 //
 // FleetMetrics adds the service dimension: every admission decision a
 // svc::Fleet makes (admit / queue-full shed / watermark shed / throttle /
 // deadline expiry) is counted fleet-wide and per tenant, and end-to-end
 // request latencies (submit -> response, queue wait included) feed
-// per-priority-class and per-tenant reservoirs reported as p50/p99/p999.
-// Tenant rows are striped across STRIPES mutexes so shard workers on
-// different tenants rarely contend on bookkeeping.
+// per-tenant and per-priority-class histograms reported as p50/p99/p999.
+// Tenant rows and class books are striped across kStripes mutexes, so a
+// shard worker books an answer under one stripe lock and workers on
+// different tenants rarely contend; snapshot() merges the stripes' class
+// books.
 #pragma once
 
 #include <array>
@@ -23,7 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/stats.hpp"
+#include "util/latency_histogram.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace tc::svc {
@@ -104,14 +108,11 @@ class Metrics {
   std::atomic<std::uint64_t> warm_priced_{0};
   std::atomic<std::uint64_t> warm_fallbacks_{0};
   std::atomic<std::uint64_t> snapshot_rebases_{0};
-  /// Leaf lock guarding the latency reservoir only; taken with no other
-  /// lock held (record_served/snapshot call nothing while holding it).
+  /// Leaf lock guarding the latency book only; taken with no other lock
+  /// held (record_served/snapshot call nothing while holding it).
   mutable util::Mutex latency_mutex_;
-  // mutable is honest here: snapshot() const sorts the reservoir, and
-  // the TC_GUARDED_BY annotation makes the Clang analysis enforce the
-  // lock (which is why tc_analyze's mutable-const rule sanctions
-  // guarded mutables alongside atomics).
-  mutable util::Percentiles latencies_ TC_GUARDED_BY(latency_mutex_);
+  /// Per-quote latencies in nanoseconds.
+  util::LatencyHistogram latencies_ TC_GUARDED_BY(latency_mutex_);
 };
 
 // ---------------------------------------------------------------------------
@@ -228,10 +229,7 @@ class FleetMetrics {
     coalesced_requests_.fetch_add(requests, std::memory_order_relaxed);
   }
 
-  /// Non-const (unlike Metrics::snapshot): the percentile queries sort
-  /// the reservoirs lazily, and the Fleet owns this object outright, so
-  /// honesty beats a block of mutable members here.
-  [[nodiscard]] FleetMetricsSnapshot snapshot();
+  [[nodiscard]] FleetMetricsSnapshot snapshot() const;
 
  private:
   /// Tenant stripe count; tenants hash onto stripes so concurrent shard
@@ -245,7 +243,7 @@ class FleetMetrics {
     std::uint64_t shed = 0;
     std::uint64_t throttled = 0;
     std::uint64_t expired = 0;
-    util::Percentiles latencies;
+    util::LatencyHistogram latencies;  ///< ns, quotes and declares
   };
 
   /// Cache-line width used to pad each stripe. Literal 64 instead of
@@ -259,10 +257,13 @@ class FleetMetrics {
   /// neighboring stripes share a line and their (uncontended) mutexes
   /// false-share under write traffic from different cores.
   struct alignas(kCacheLine) Stripe {
-    /// Leaf lock: held only for map/reservoir updates, never across
-    /// calls out of the metrics object.
-    util::Mutex mutex;
+    /// Leaf lock: held only for row/book updates, never across calls
+    /// out of the metrics object.
+    mutable util::Mutex mutex;
     std::unordered_map<TenantId, TenantStats> tenants TC_GUARDED_BY(mutex);
+    /// This stripe's share of the per-class latency books (ns), indexed
+    /// by Priority; snapshot() merges them across stripes.
+    std::array<util::LatencyHistogram, 2> classes TC_GUARDED_BY(mutex);
   };
   static_assert(alignof(Stripe) >= kCacheLine,
                 "stripe must start on its own cache line");
@@ -276,6 +277,20 @@ class FleetMetrics {
     Stripe& s = stripes_[tenant % kStripes];
     util::MutexLock lock(s.mutex);
     fn(s.tenants[tenant]);
+  }
+
+  /// Books an answered request's latency in its tenant row and its
+  /// class book, then applies `fn` to the row, all under one stripe lock.
+  template <typename Fn>
+  void book_answer(TenantId tenant, Priority priority, double latency_us,
+                   Fn&& fn) {
+    const double ns = latency_us * 1e3;
+    Stripe& s = stripes_[tenant % kStripes];
+    util::MutexLock lock(s.mutex);
+    s.classes[static_cast<std::size_t>(priority)].record(ns);
+    TenantStats& t = s.tenants[tenant];
+    t.latencies.record(ns);
+    fn(t);
   }
 
   std::atomic<std::uint64_t> submitted_{0};
@@ -296,10 +311,6 @@ class FleetMetrics {
   std::atomic<std::uint64_t> interactive_denied_{0};
   std::atomic<std::uint64_t> batch_served_{0};
   std::atomic<std::uint64_t> batch_denied_{0};
-  /// Leaf lock guarding the per-class reservoirs only.
-  util::Mutex class_mutex_;
-  util::Percentiles interactive_ TC_GUARDED_BY(class_mutex_);
-  util::Percentiles batch_ TC_GUARDED_BY(class_mutex_);
   std::array<Stripe, kStripes> stripes_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "graph/mask.hpp"
@@ -97,6 +98,15 @@ TEST(NodeGraphBuilder, RejectsNegativeCost) {
   NodeGraphBuilder b(2);
   EXPECT_THROW(b.set_node_cost(0, -1.0), std::invalid_argument);
   EXPECT_THROW(b.set_costs({1.0, -0.5}), std::invalid_argument);
+}
+
+TEST(NodeGraphBuilder, RejectsNaNCostButKeepsInfinity) {
+  NodeGraphBuilder b(2);
+  EXPECT_THROW(b.set_node_cost(0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(b.set_costs({1.0, std::nan("")}), std::invalid_argument);
+  // +inf is how a node is marked down; it stays legal.
+  b.set_node_cost(0, kInfCost).add_edge(0, 1);
+  EXPECT_EQ(b.build().node_cost(0), kInfCost);
 }
 
 TEST(NodeGraphBuilder, RejectsWrongSizeVectors) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <thread>
 #include <vector>
@@ -275,6 +276,81 @@ TEST(Fleet, TypedRejectionsForBadRequests) {
   EXPECT_EQ(fleet.call(std::move(down)).status, Status::kInvalidRequest);
   EXPECT_EQ(fleet.drop_tenant(9), Status::kOk);
   EXPECT_EQ(fleet.drop_tenant(9), Status::kUnknownTenant);
+}
+
+// A diamond 3-{1,2}-0 whose relay 2 has a NaN cost must be refused at
+// CreateTenantOp: priced, the NaN relay counts as absent, so the honest
+// relay 1 looks like a monopoly and quote(3) pays it +inf. Negative costs
+// are refused too; +inf stays legal, as it marks a node down.
+TEST(Fleet, CreateTenantRejectsNaNAndNegativeTopologyCosts) {
+  graph::NodeGraphBuilder b(4);
+  b.add_edge(3, 1).add_edge(3, 2).add_edge(1, 0).add_edge(2, 0);
+  b.set_costs({0.0, 1.0, 5.0, 0.0});
+  const graph::NodeGraph diamond = b.build();
+  Fleet fleet;
+
+  ASSERT_EQ(fleet.create_tenant(1, diamond, 0), Status::kOk);
+  const Response honest = fleet.call(quote_req(1, 3, graph::kInvalidNode));
+  ASSERT_EQ(honest.status, Status::kOk);
+  ASSERT_TRUE(honest.quote.has_value());
+  EXPECT_EQ(honest.quote->payments[1], 5.0);  // c_2 is relay 1's price
+
+  auto with_cost = [&](Cost c2) {
+    graph::NodeGraph g = diamond;
+    g.set_node_cost(2, c2);
+    return g;
+  };
+  EXPECT_EQ(fleet.create_tenant(2, with_cost(std::nan("")), 0),
+            Status::kInvalidRequest);
+  EXPECT_EQ(fleet.create_tenant(3, with_cost(-1.0), 0),
+            Status::kInvalidRequest);
+  EXPECT_EQ(fleet.call(quote_req(2, 3, graph::kInvalidNode)).status,
+            Status::kUnknownTenant);
+  EXPECT_EQ(fleet.create_tenant(4, with_cost(graph::kInfCost), 0),
+            Status::kOk);
+}
+
+// Eight blocking clients never hold more than eight requests in flight,
+// far below capacity, so nothing may be shed. This pins the order in
+// admit_and_stage: a request counted in Shard::queued only after its
+// staging push can be detached and subtracted by the worker first, which
+// wraps the unsigned count to ~2^64 and sheds every submit to the shard.
+TEST(Fleet, BlockingClientsAreNeverShedBelowCapacity) {
+  constexpr int kClients = 8;
+  constexpr int kCallsPerClient = 2000;
+  constexpr TenantId kTenants = 4;
+  Config config;
+  config.fleet.shards = 2;
+  config.fleet.queue_capacity = 4096;
+  config.fleet.default_deadline_us = 60'000'000;
+  Fleet fleet(config);
+  for (TenantId t = 0; t < kTenants; ++t) {
+    ASSERT_EQ(fleet.create_tenant(t, tenant_graph(900 + t, 12), 0),
+              Status::kOk);
+  }
+  std::atomic<int> shed{0};
+  std::atomic<int> other{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      util::Rng rng(0x5ed0ULL + static_cast<std::uint64_t>(c));
+      for (int i = 0; i < kCallsPerClient; ++i) {
+        const auto tenant = static_cast<TenantId>(rng.next_below(kTenants));
+        const auto source = static_cast<NodeId>(1 + rng.next_below(11));
+        const Status s =
+            fleet.call(quote_req(tenant, source, graph::kInvalidNode)).status;
+        if (s == Status::kShedQueueFull) {
+          shed.fetch_add(1, std::memory_order_relaxed);
+        } else if (s != Status::kOk) {
+          other.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(shed.load(), 0) << "of " << kClients * kCallsPerClient;
+  EXPECT_EQ(other.load(), 0);
+  EXPECT_EQ(fleet.metrics().shed_queue_full, 0u);
 }
 
 TEST(Fleet, ConfigValidationCatchesBadKnobs) {

@@ -74,8 +74,12 @@ run in CI, so a violation fails the build. Rules:
                 the object (the Clang Thread Safety annotations cannot
                 see it either, because no lock is named). The sanctioned
                 shapes are the CAS memos in LinkGraph::reverse_ /
-                ProfileSnapshot's node_cache_ and the lock-guarded
-                Metrics::latencies_ reservoir.
+                ProfileSnapshot's node_cache_ and the mutexes that const
+                snapshot() methods lock (Metrics::latency_mutex_,
+                FleetMetrics' stripe mutexes). A TC_GUARDED_BY mutable
+                member is accepted too; src/ currently has none, since
+                the serving layer's latency books answer percentile
+                queries without mutating.
 
 A finding can be waived with a `tc-analyze: allow(<rule>)` comment on the
 same line or the line above, with a justification.

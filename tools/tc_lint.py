@@ -52,6 +52,14 @@ violation fails the build. Rules:
                mode, bulk declarations, warm-cache rebuilds) carry a
                `tc-lint: allow(svc-graph-copy)` comment on the same line
                or the line above.
+  svc-reservoir
+               No util::Percentiles in src/svc: it stores every sample, so
+               a serving-layer latency book built on it grows with traffic
+               and uptime. The serving layer records latencies in
+               util::LatencyHistogram, whose size is set by the range of
+               values it has seen, never by their count. Percentiles stays
+               for the figure series and bootstrap_mean_ci. There is no
+               allow comment: a bounded book is never wrong to use here.
 
 Usage: tools/tc_lint.py [--root REPO_ROOT] [--list-rules]
 Exit status: 0 when clean, 1 when violations were found, 2 when no
@@ -150,6 +158,9 @@ SVC_GRAPH_COPY_DECL = re.compile(
 SVC_GRAPH_COPY_ASSIGN = re.compile(r"=\s*[\w.>\[\]-]*\.(?:node|link)\(\)")
 SVC_GRAPH_COPY_ALLOW = "tc-lint: allow(svc-graph-copy)"
 SVC_GRAPH_COPY_EXEMPT = ("src/svc/snapshot.cpp", "src/svc/snapshot.hpp")
+
+# Sample-storing reservoirs banned in src/svc (any qualification).
+SVC_RESERVOIR = re.compile(r"\bPercentiles\b")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -321,6 +332,16 @@ class Linter:
                       "ProfileSnapshot's copy-on-write derive (or annotate a "
                       "sanctioned copy with tc-lint: allow(svc-graph-copy))")
 
+    def check_svc_reservoir(self, path: pathlib.Path, code: str) -> None:
+        if not str(path.relative_to(self.root)).startswith("src/svc/"):
+            return
+        for lineno, line in enumerate(code.splitlines(), 1):
+            if SVC_RESERVOIR.search(line):
+                self.fail(path, lineno, "svc-reservoir",
+                          "util::Percentiles in the serving layer stores "
+                          "every sample and grows with traffic; record "
+                          "latencies in util::LatencyHistogram")
+
     def check_spath_loop(self, path: pathlib.Path, code: str) -> None:
         rel = str(path.relative_to(self.root))
         if not (rel.startswith("src/core/") or rel.startswith("src/svc/")):
@@ -407,6 +428,7 @@ class Linter:
             self.check_deprecated(path, code)
             self.check_net_draw(path, code)
             self.check_svc_graph_copy(path, code, text)
+            self.check_svc_reservoir(path, code)
             self.check_spath_loop(path, code)
         for v in self.violations:
             print(v)
@@ -428,7 +450,7 @@ def main() -> int:
     args = parser.parse_args()
     if args.list_rules:
         print("rng new-delete float pragma-once nodiscard deprecated "
-              "net-draw svc-graph-copy spath-loop")
+              "net-draw svc-graph-copy svc-reservoir spath-loop")
         return 0
     return Linter(args.root.resolve()).run()
 

@@ -36,6 +36,8 @@ EXPECTATIONS = {
     "spath_loop_bad": "spath-loop",
     "svc_graph_copy_bad": "svc-graph-copy",
     "svc_graph_copy_allowed": None,
+    "svc_reservoir_bad": "svc-reservoir",
+    "svc_reservoir_allowed": None,
     "literal_clean": None,
 }
 
