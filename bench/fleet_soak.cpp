@@ -25,8 +25,8 @@
 //   --skew zipf:<s> draws quote tenants from a Zipf(s) distribution
 //   (declares stay uniform over owned tenants), concentrating read
 //   traffic on hot low-id tenants; --sched off disables the load-aware
-//   scheduler (placement, stealing, coalescing, WFQ weights) to get the
-//   static `tenant % shards` baseline the speedup is measured against.
+//   scheduler (placement, stealing, WFQ weights) to get the static
+//   `tenant % shards` baseline the speedup is measured against.
 //
 // BENCH_fleet.json is the committed reference; tools/bench_compare.py
 // gates ops_per_sec / latency / attainment against it in CI (`--quick`
@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
   flags.add_string("skew", "uniform",
                    "quote tenant distribution: uniform | zipf:<s>");
   flags.add_string("sched", "on",
-                   "on = load-aware stealing/coalescing/WFQ scheduler; "
+                   "on = load-aware stealing/WFQ scheduler; "
                    "off = static tenant%shards baseline (the A/B control)");
   flags.add_bool("quick", false, "CI smoke: 64 tenants, 30k requests");
   flags.add_string("csv", "", "write the report as CSV to this path");
@@ -271,11 +271,10 @@ int main(int argc, char** argv) {
   svc::Config config;
   config.fleet.shards = shards;
   if (!sched_on) {
-    // The static baseline: tenant % shards placement, no steals, no
-    // coalescing, classless round-robin (equal DRR weights).
+    // The static baseline: tenant % shards placement, no steals,
+    // classless round-robin (equal DRR weights).
     config.fleet.load_aware_placement = false;
     config.fleet.work_stealing = false;
-    config.fleet.coalesce_quotes = false;
     config.fleet.interactive_weight = 1;
     config.fleet.batch_weight = 1;
   }

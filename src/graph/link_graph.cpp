@@ -88,7 +88,9 @@ LinkGraphBuilder& LinkGraphBuilder::add_arc(NodeId from, NodeId to,
   if (from == to) throw std::invalid_argument("self-loops are not allowed");
   if (from >= num_nodes_ || to >= num_nodes_)
     throw std::invalid_argument("arc endpoint out of range");
-  if (cost < 0.0) throw std::invalid_argument("arc cost must be non-negative");
+  // !(cost >= 0) rather than cost < 0: NaN must fail too. +inf passes.
+  if (!(cost >= 0.0))
+    throw std::invalid_argument("arc cost must be non-negative");
   raw_.push_back({from, to, cost});
   return *this;
 }

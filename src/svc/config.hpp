@@ -84,23 +84,17 @@ struct FleetConfig {
   /// static `tenant % shards` hash. false restores the static baseline
   /// (the A/B control for the skewed-load soak).
   bool load_aware_placement = true;
-  /// Idle workers steal whole-tenant runs (requests, staged mailbox
-  /// items, and the tenant's engine) from the most-loaded shard. Requires
-  /// load_aware_placement — the ownership table is the steal token.
+  /// Idle workers steal whole-tenant runs (requests and staged mailbox
+  /// items) from the most-loaded shard. Requires load_aware_placement —
+  /// a steal flips the tenant's shard in the ownership table.
   bool work_stealing = true;
-  /// Fold consecutive same-tenant quote requests into one engine
-  /// quote_batch call so the multi-source batched kernel amortizes the
-  /// SPT solve across them.
-  bool coalesce_quotes = true;
-  /// Deficit-round-robin quanta (requests added per round) per SLO
-  /// class. Interactive ≫ batch keeps batch floods out of interactive
-  /// tail latency; equal weights degrade to plain round robin.
+  /// Deficit-round-robin weights per SLO class: a class's quantum is
+  /// weight × 8 requests per round. Interactive ≫ batch keeps batch
+  /// floods out of interactive tail latency; equal weights degrade to
+  /// plain round robin. A quantum also bounds the requests one
+  /// scheduling decision detaches.
   std::uint32_t interactive_weight = 8;
   std::uint32_t batch_weight = 1;
-  /// Upper bound on requests detached (and thus quotes coalesced) per
-  /// scheduling decision; bounds both batch-call size and the time a
-  /// tenant run is pinned in service.
-  std::size_t coalesce_cap = 64;
   /// A shard qualifies as a steal victim only with at least this many
   /// queued requests (keeps idle workers from thrashing warm state over
   /// scraps).
@@ -126,7 +120,6 @@ struct FleetConfig {
     if (interactive_weight == 0 || batch_weight == 0) {
       return "fleet DRR weights must be positive";
     }
-    if (coalesce_cap == 0) return "fleet.coalesce_cap must be positive";
     if (load_ewma_alpha <= 0.0 || load_ewma_alpha > 1.0) {
       return "fleet.load_ewma_alpha must be in (0, 1]";
     }

@@ -16,8 +16,8 @@ constexpr std::size_t kDefaultFleetShards = 4;
 /// Staging items folded into runs per try_pop_n call.
 constexpr std::size_t kStageBatch = 256;
 /// DRR quantum = class weight × this scale, in requests. The scale lets
-/// a weight-8 interactive class serve up to 64 requests per round — big
-/// enough that coalescing sees full-size groups — while the 8:1 request
+/// a weight-8 interactive class serve up to 64 requests per round, which
+/// also bounds how long one run stays in service, while the 8:1 request
 /// ratio between classes is still set by the weights alone.
 constexpr std::int64_t kDrrQuantumScale = 8;
 /// Idle worker park time between steal polls.
@@ -31,6 +31,19 @@ bool is_quote_kind(const RequestOp& op) {
 bool is_admin_kind(const RequestOp& op) {
   return std::holds_alternative<CreateTenantOp>(op) ||
          std::holds_alternative<DropTenantOp>(op);
+}
+
+/// The validated (source, target) pair of `quote` on `engine`, or
+/// nullopt for an invalid request. kInvalidNode targets the access point.
+std::optional<std::pair<NodeId, NodeId>> quote_pair(const QuoteOp& quote,
+                                                    const QuoteEngine& engine) {
+  NodeId target = quote.target;
+  if (target == graph::kInvalidNode) target = engine.access_point();
+  const std::size_t n = engine.num_nodes();
+  if (quote.source >= n || target >= n || quote.source == target) {
+    return std::nullopt;
+  }
+  return std::make_pair(quote.source, target);
 }
 
 double elapsed_us(std::chrono::steady_clock::time_point from,
@@ -112,40 +125,67 @@ std::future<Response> Fleet::submit(Request req) {
     finish(p, std::move(reject));
     return future;
   }
-  if (!config_.fleet.load_aware_placement) {
-    // Static `tenant % shards` baseline: no ownership table, no steals.
-    if (!admit_and_stage(static_shard_of(p.req.tenant), p, reject)) {
-      finish(p, std::move(reject));
-    }
-    return future;
-  }
-  // Load-aware routing. The shared route lock is held ACROSS the staging
-  // push: a steal flips ownership under the exclusive lock, so every
-  // request lands wholly before or wholly after a migration — never in a
-  // shard that already gave the tenant away.
+  // Step 3: a QuoteOp of a tenant with no write in flight pins the
+  // tenant's engine (the copy keeps a concurrent drop from freeing it)
+  // and is answered here on a cache hit.
+  TenantSlot* slot = nullptr;
+  std::shared_ptr<QuoteEngine> engine;
   {
     util::SharedReaderLock route(route_mutex_);
     auto it = route_.find(p.req.tenant);
     if (it != route_.end()) {
-      if (!admit_and_stage(*shards_[it->second], p, reject)) {
-        finish(p, std::move(reject));
+      slot = &it->second;
+      if (std::holds_alternative<QuoteOp>(p.req.op) &&
+          slot->writes.load(std::memory_order_acquire) == 0) {
+        engine = slot->engine;
       }
-      return future;
     }
   }
-  // First sighting: place on the least-loaded shard. The exclusive lock
-  // makes the insert race-free; losing racers reuse the winner's entry.
-  {
-    util::SharedMutexLock route(route_mutex_);
-    auto [it, inserted] = route_.try_emplace(p.req.tenant, 0);
-    if (inserted) {
-      it->second = static_cast<std::uint32_t>(least_loaded_shard());
-    }
-    if (!admit_and_stage(*shards_[it->second], p, reject)) {
-      finish(p, std::move(reject));
-    }
+  if (engine != nullptr && answer_at_submit(p, *engine)) return future;
+  // The shared route lock is held ACROSS the staging push: a steal flips
+  // the slot's shard under the exclusive lock, so every request lands
+  // wholly before or wholly after a migration — never in a shard that
+  // already gave the tenant away.
+  if (slot != nullptr) {
+    util::SharedReaderLock route(route_mutex_);
+    stage(*slot, p);
+    return future;
   }
+  // First sighting: place the tenant. The exclusive lock makes the
+  // insert race-free; losing racers reuse the winner's slot.
+  util::SharedMutexLock route(route_mutex_);
+  auto [it, inserted] = route_.try_emplace(p.req.tenant);
+  if (inserted) {
+    std::size_t shard = p.req.tenant % shards_.size();
+    if (config_.fleet.load_aware_placement) shard = least_loaded_shard();
+    it->second.shard = static_cast<std::uint32_t>(shard);
+  }
+  stage(it->second, p);
   return future;
+}
+
+bool Fleet::answer_at_submit(Pending& p, QuoteEngine& engine) {
+  const auto pair = quote_pair(std::get<QuoteOp>(p.req.op), engine);
+  Response r;
+  if (!pair || !engine.try_hit(pair->first, pair->second, r.quote, r.epoch)) {
+    return false;
+  }
+  metrics_.record_served_at_submit();
+  finish(p, std::move(r));
+  return true;
+}
+
+void Fleet::stage(TenantSlot& slot, Pending& p) {
+  p.slot = &slot;
+  // Counted before the push: a quote submitted once this submit() has
+  // returned reads a nonzero count until the write is applied.
+  if (!is_quote_kind(p.req.op)) {
+    slot.writes.fetch_add(1, std::memory_order_relaxed);
+  }
+  Response reject;
+  if (!admit_and_stage(*shards_[slot.shard], p, reject)) {
+    finish(p, std::move(reject));
+  }
 }
 
 std::size_t Fleet::least_loaded_shard() {
@@ -276,6 +316,11 @@ void Fleet::finish(Pending& p, Response r) {
       metrics_.record_rejected();
       break;
   }
+  // The engine call (if any) has returned: the write is applied or
+  // refused, and a probe that now reads 0 sees its epoch.
+  if (p.slot != nullptr && !is_quote_kind(p.req.op)) {
+    p.slot->writes.fetch_sub(1, std::memory_order_release);
+  }
   p.promise.set_value(std::move(r));
 }
 
@@ -300,12 +345,14 @@ void Fleet::stage_into_runs_locked(Shard& shard, std::vector<Pending>& buf) {
   }
 }
 
+std::int64_t Fleet::quantum(std::size_t cls) const {
+  const std::uint32_t weight = cls == class_index(Priority::kInteractive)
+                                   ? config_.fleet.interactive_weight
+                                   : config_.fleet.batch_weight;
+  return static_cast<std::int64_t>(weight) * kDrrQuantumScale;
+}
+
 bool Fleet::drr_detach_locked(Shard& shard, Chunk& chunk) {
-  const std::int64_t quantum[kNumClasses] = {
-      static_cast<std::int64_t>(config_.fleet.interactive_weight) *
-          kDrrQuantumScale,
-      static_cast<std::int64_t>(config_.fleet.batch_weight) *
-          kDrrQuantumScale};
   std::size_t cls = shard.drr_turn;
   for (std::size_t scanned = 0; scanned < kNumClasses; ++scanned) {
     if (!shard.ready[cls].empty()) break;
@@ -314,17 +361,16 @@ bool Fleet::drr_detach_locked(Shard& shard, Chunk& chunk) {
     cls = (cls + 1) % kNumClasses;
   }
   if (shard.ready[cls].empty()) return false;
-  if (shard.deficit[cls] <= 0) shard.deficit[cls] += quantum[cls];
+  if (shard.deficit[cls] <= 0) shard.deficit[cls] += quantum(cls);
 
   const TenantId tenant = shard.ready[cls].front();
   shard.ready[cls].pop_front();
   TenantRun& run = shard.runs[tenant];
   run.in_service = true;
-  // Detach the longest same-class prefix the deficit allows; a class
-  // switch inside the run ends the chunk (the remainder requeues under
-  // the new head's class when the chunk completes).
-  const std::size_t budget = std::min<std::size_t>(
-      config_.fleet.coalesce_cap, static_cast<std::size_t>(shard.deficit[cls]));
+  // Detach the longest same-class prefix the deficit (at most one
+  // quantum) allows; a class switch inside the run ends the chunk (the
+  // remainder requeues under the new head's class when it completes).
+  const auto budget = static_cast<std::size_t>(shard.deficit[cls]);
   chunk.tenant = tenant;
   chunk.items.clear();
   while (!run.items.empty() && chunk.items.size() < budget &&
@@ -380,11 +426,10 @@ bool Fleet::try_steal(Shard& thief, Chunk& chunk) {
 
   // The exclusive route lock fences out every submitter (they hold it
   // shared across the staging push) and serializes steals, making the
-  // ownership flip + run/engine/mailbox migration one atomic step.
+  // shard flip + run/mailbox migration one atomic step.
   util::SharedMutexLock route(route_mutex_);
   TenantId tenant = 0;
   std::deque<Pending> items;
-  std::unique_ptr<QuoteEngine> engine;
   std::vector<Pending> staged;
   {
     util::MutexLock vlock(victim->sched_mutex);
@@ -416,30 +461,27 @@ bool Fleet::try_steal(Shard& thief, Chunk& chunk) {
         [tenant](const Pending& p) { return p.req.tenant == tenant; },
         staged);
     for (Pending& p : staged) items.push_back(std::move(p));
-    auto eit = victim->engines.find(tenant);
-    if (eit != victim->engines.end()) {
-      engine = std::move(eit->second);
-      victim->engines.erase(eit);
-    }
     victim->queued.fetch_sub(items.size(), std::memory_order_relaxed);
   }
   const std::size_t moved = items.size();
-  // Flip the ownership token: from here on every submit routes to us.
-  route_[tenant] = thief.index;
+  // Flip the ownership token (the slot every stolen item was staged
+  // through): from here on every submit routes to us.
+  items.front().slot->shard = thief.index;
   {
     util::MutexLock tlock(thief.sched_mutex);
-    if (engine != nullptr) thief.engines[tenant] = std::move(engine);
     TenantRun& run = thief.runs[tenant];
     TC_CHECK_MSG(run.items.empty() && !run.in_service,
                  "stolen tenant must not already have a run here");
     run.items = std::move(items);
     run.in_service = true;  // the head chunk executes right now
-    // Detach the head chunk; classes may mix on the steal path (the
-    // executor handles any per-tenant FIFO sequence).
+    // Detach the head chunk, at most one quantum of its head's class;
+    // classes may mix on the steal path (the executor handles any
+    // per-tenant FIFO sequence).
+    const auto cap = static_cast<std::size_t>(
+        quantum(class_index(run.items.front().req.priority)));
     chunk.tenant = tenant;
     chunk.items.clear();
-    while (!run.items.empty() &&
-           chunk.items.size() < config_.fleet.coalesce_cap) {
+    while (!run.items.empty() && chunk.items.size() < cap) {
       chunk.items.push_back(std::move(run.items.front()));
       run.items.pop_front();
     }
@@ -483,7 +525,7 @@ void Fleet::worker_loop(Shard& shard) {
       continue;
     }
     const auto started = Clock::now();
-    execute_chunk(shard, chunk);
+    execute_chunk(chunk);
     const double service_us = elapsed_us(started, Clock::now());
     {
       util::MutexLock lock(shard.sched_mutex);
@@ -496,41 +538,54 @@ void Fleet::worker_loop(Shard& shard) {
 // Execution
 // ---------------------------------------------------------------------------
 
-void Fleet::execute_chunk(Shard& shard, Chunk& chunk) {
-  QuoteEngine* engine = nullptr;
+void Fleet::execute_chunk(Chunk& chunk) {
+  // Every item was staged through the tenant's slot. The copy is stable
+  // for the chunk: only this worker creates or drops the tenant's engine
+  // while its run is in service.
+  std::shared_ptr<QuoteEngine> engine;
   {
-    // The pointee is stable without the lock: only this worker can
-    // create/drop this tenant's engine (the run is in service), and a
-    // concurrent steal of a DIFFERENT tenant only moves other entries.
-    util::MutexLock lock(shard.sched_mutex);
-    auto it = shard.engines.find(chunk.tenant);
-    if (it != shard.engines.end()) engine = it->second.get();
+    util::SharedReaderLock route(route_mutex_);
+    engine = chunk.items.front().slot->engine;
   }
-  std::size_t i = 0;
-  while (i < chunk.items.size()) {
-    if (is_quote_kind(chunk.items[i].req.op)) {
-      std::size_t j = i + 1;
-      while (j < chunk.items.size() &&
-             is_quote_kind(chunk.items[j].req.op)) {
-        ++j;
-      }
-      execute_quote_group(shard, &chunk.items[i], j - i, engine);
-      i = j;
+  for (Pending& p : chunk.items) {
+    if (is_quote_kind(p.req.op)) {
+      execute_quote(p, engine.get());
     } else {
-      execute_one(shard, chunk.items[i], engine);
-      ++i;
+      execute_write(p, engine);
     }
   }
 }
 
-void Fleet::execute_one(Shard& shard, Pending& p, QuoteEngine*& engine) {
+void Fleet::execute_quote(Pending& p, QuoteEngine* engine) {
+  Response r;
+  if (Clock::now() > p.deadline) {
+    r.status = Status::kExpiredDeadline;
+  } else if (engine == nullptr) {
+    r.status = Status::kUnknownTenant;
+  } else if (const auto* quote = std::get_if<QuoteOp>(&p.req.op)) {
+    if (const auto pair = quote_pair(*quote, *engine)) {
+      r.quote = engine->quote(pair->first, pair->second);
+    } else {
+      r.status = Status::kInvalidRequest;
+    }
+  } else {
+    const auto& pairs = std::get<QuoteBatchOp>(p.req.op).pairs;
+    const std::size_t n = engine->num_nodes();
+    bool valid = true;
+    for (const auto& [u, v] : pairs) valid = valid && u < n && v < n && u != v;
+    if (valid) {
+      r.quotes = engine->quote_batch(pairs);
+    } else {
+      r.status = Status::kInvalidRequest;
+    }
+  }
+  if (r.ok()) r.epoch = engine->epoch();
+  finish(p, std::move(r));
+}
+
+void Fleet::execute_write(Pending& p, std::shared_ptr<QuoteEngine>& engine) {
   Response r;
   if (auto* create = std::get_if<CreateTenantOp>(&p.req.op)) {
-    if (engine != nullptr) {
-      r.status = Status::kTenantExists;
-      finish(p, std::move(r));
-      return;
-    }
     const std::size_t n = create->topology.num_nodes();
     const bool pricer_ok =
         create->pricer == nullptr ||
@@ -539,21 +594,19 @@ void Fleet::execute_one(Shard& shard, Pending& p, QuoteEngine*& engine) {
     const auto& costs = create->topology.costs();
     const bool costs_ok = std::all_of(costs.begin(), costs.end(),
                                       [](graph::Cost c) { return c >= 0.0; });
-    if (create->access_point >= n || !pricer_ok || !costs_ok) {
+    if (engine != nullptr) {
+      r.status = Status::kTenantExists;
+    } else if (create->access_point >= n || !pricer_ok || !costs_ok) {
       r.status = Status::kInvalidRequest;
-      finish(p, std::move(r));
-      return;
-    }
-    // Build outside the lock (engine construction copies the topology),
-    // publish under it.
-    auto built = std::make_unique<QuoteEngine>(std::move(create->topology),
-                                               create->access_point,
-                                               std::move(create->pricer),
-                                               config_.engine);
-    engine = built.get();
-    {
-      util::MutexLock lock(shard.sched_mutex);
-      shard.engines[p.req.tenant] = std::move(built);
+    } else {
+      // Build outside the lock (engine construction copies the
+      // topology), publish under it.
+      engine = std::make_shared<QuoteEngine>(std::move(create->topology),
+                                             create->access_point,
+                                             std::move(create->pricer),
+                                             config_.engine);
+      util::SharedMutexLock route(route_mutex_);
+      p.slot->engine = engine;
     }
     finish(p, std::move(r));
     return;
@@ -562,175 +615,35 @@ void Fleet::execute_one(Shard& shard, Pending& p, QuoteEngine*& engine) {
     if (engine == nullptr) {
       r.status = Status::kUnknownTenant;
     } else {
-      util::MutexLock lock(shard.sched_mutex);
-      shard.engines.erase(p.req.tenant);
-      engine = nullptr;
+      {
+        util::SharedMutexLock route(route_mutex_);
+        p.slot->engine.reset();
+      }
+      // Freed here, or by the last probe still holding a copy.
+      engine.reset();
     }
     finish(p, std::move(r));
     return;
   }
   if (engine == nullptr) {
     r.status = Status::kUnknownTenant;
-    finish(p, std::move(r));
-    return;
-  }
-  const std::size_t n = engine->num_nodes();
-  if (auto* declare = std::get_if<DeclareOp>(&p.req.op)) {
-    if (declare->node >= n || declare->cost < 0.0 ||
+  } else if (const auto* declare = std::get_if<DeclareOp>(&p.req.op)) {
+    if (declare->node >= engine->num_nodes() || declare->cost < 0.0 ||
         !graph::finite_cost(declare->cost)) {
       r.status = Status::kInvalidRequest;
-      finish(p, std::move(r));
-      return;
-    }
-    r.epoch = engine->declare_cost(declare->node, declare->cost);
-    finish(p, std::move(r));
-    return;
-  }
-  const auto& down = std::get<MarkNodeDownOp>(p.req.op);
-  if (down.node >= n || down.node == engine->access_point()) {
-    r.status = Status::kInvalidRequest;
-    finish(p, std::move(r));
-    return;
-  }
-  r.epoch = engine->mark_node_down(down.node);
-  finish(p, std::move(r));
-}
-
-void Fleet::execute_quote_group(Shard& shard, Pending* first,
-                                std::size_t count, QuoteEngine* engine) {
-  (void)shard;
-  const auto now = Clock::now();
-  if (!config_.fleet.coalesce_quotes || count == 1 || engine == nullptr) {
-    // Singleton path (also the unknown-tenant path): mirror the classic
-    // one-request-at-a-time execution.
-    for (std::size_t k = 0; k < count; ++k) {
-      Pending& p = first[k];
-      Response r;
-      if (now > p.deadline) {
-        r.status = Status::kExpiredDeadline;
-        finish(p, std::move(r));
-        continue;
-      }
-      if (engine == nullptr) {
-        r.status = Status::kUnknownTenant;
-        finish(p, std::move(r));
-        continue;
-      }
-      const std::size_t n = engine->num_nodes();
-      if (auto* quote = std::get_if<QuoteOp>(&p.req.op)) {
-        if (quote->target == graph::kInvalidNode) {
-          if (quote->source >= n || quote->source == engine->access_point()) {
-            r.status = Status::kInvalidRequest;
-            finish(p, std::move(r));
-            continue;
-          }
-          r.quote = engine->quote(quote->source);
-        } else {
-          if (quote->source >= n || quote->target >= n ||
-              quote->source == quote->target) {
-            r.status = Status::kInvalidRequest;
-            finish(p, std::move(r));
-            continue;
-          }
-          r.quote = engine->quote(quote->source, quote->target);
-        }
-      } else {
-        auto& batch = std::get<QuoteBatchOp>(p.req.op);
-        bool valid = true;
-        for (const auto& [u, v] : batch.pairs) {
-          if (u >= n || v >= n || u == v) {
-            valid = false;
-            break;
-          }
-        }
-        if (!valid) {
-          r.status = Status::kInvalidRequest;
-          finish(p, std::move(r));
-          continue;
-        }
-        r.quotes = engine->quote_batch(batch.pairs);
-      }
-      r.epoch = engine->epoch();
-      finish(p, std::move(r));
-    }
-    return;
-  }
-
-  // Coalesced path: gather every still-valid quote's pairs into ONE
-  // engine call. All requests here are consecutive same-tenant quotes —
-  // no declare can interleave, so every answer shares one epoch.
-  struct Segment {
-    std::size_t begin = 0;
-    std::size_t count = 0;
-    bool included = false;
-  };
-  const std::size_t n = engine->num_nodes();
-  std::vector<Segment> segments(count);
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    Pending& p = first[k];
-    if (now > p.deadline) {
-      Response r;
-      r.status = Status::kExpiredDeadline;
-      finish(p, std::move(r));
-      continue;
-    }
-    if (auto* quote = std::get_if<QuoteOp>(&p.req.op)) {
-      const NodeId target = quote->target == graph::kInvalidNode
-                                ? engine->access_point()
-                                : quote->target;
-      if (quote->source >= n || target >= n || quote->source == target) {
-        Response r;
-        r.status = Status::kInvalidRequest;
-        finish(p, std::move(r));
-        continue;
-      }
-      segments[k] = Segment{pairs.size(), 1, true};
-      pairs.emplace_back(quote->source, target);
-      continue;
-    }
-    auto& batch = std::get<QuoteBatchOp>(p.req.op);
-    bool valid = true;
-    for (const auto& [u, v] : batch.pairs) {
-      if (u >= n || v >= n || u == v) {
-        valid = false;
-        break;
-      }
-    }
-    if (!valid) {
-      Response r;
-      r.status = Status::kInvalidRequest;
-      finish(p, std::move(r));
-      continue;
-    }
-    segments[k] = Segment{pairs.size(), batch.pairs.size(), true};
-    pairs.insert(pairs.end(), batch.pairs.begin(), batch.pairs.end());
-  }
-  std::vector<std::optional<core::PaymentResult>> results;
-  if (!pairs.empty()) results = engine->quote_batch(pairs);
-  const std::uint64_t epoch = engine->epoch();
-  std::size_t included = 0;
-  for (std::size_t k = 0; k < count; ++k) {
-    if (!segments[k].included) continue;
-    Pending& p = first[k];
-    Response r;
-    r.epoch = epoch;
-    if (std::holds_alternative<QuoteOp>(p.req.op)) {
-      r.quote = std::move(results[segments[k].begin]);
     } else {
-      r.quotes.assign(
-          std::make_move_iterator(results.begin() +
-                                  static_cast<std::ptrdiff_t>(
-                                      segments[k].begin)),
-          std::make_move_iterator(results.begin() +
-                                  static_cast<std::ptrdiff_t>(
-                                      segments[k].begin + segments[k].count)));
+      r.epoch = engine->declare_cost(declare->node, declare->cost);
     }
-    finish(p, std::move(r));
-    ++included;
+  } else {
+    const auto& down = std::get<MarkNodeDownOp>(p.req.op);
+    if (down.node >= engine->num_nodes() ||
+        down.node == engine->access_point()) {
+      r.status = Status::kInvalidRequest;
+    } else {
+      r.epoch = engine->mark_node_down(down.node);
+    }
   }
-  if (included >= 2) metrics_.record_coalesced(included);
+  finish(p, std::move(r));
 }
 
 }  // namespace tc::svc

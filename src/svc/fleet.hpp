@@ -13,63 +13,66 @@
 //   Each shard runs ONE worker thread over a two-stage mailbox: clients
 //   push into a bounded staging queue (util::BoundedQueue), and the
 //   worker folds staged requests into per-tenant FIFO *runs* under the
-//   shard scheduler mutex. Three mechanisms cooperate on top:
+//   shard scheduler mutex. Two mechanisms cooperate on top:
 //
 //   * Load-aware placement + work stealing with tenant-affinity
 //     handoff. A tenant's first request pins it to the least-loaded
-//     shard in the ownership table (route_); an idle worker steals a
-//     whole-tenant run — queued requests, staged mailbox items, and the
-//     tenant's engine — from the tail of the most-loaded shard's ready
-//     lists, flipping the ownership token so the engine's warm-SPT/COW
-//     state stays single-writer. Victims are chosen by a load estimate:
-//     queue depth × an EWMA of per-request service time.
-//   * Same-tenant quote coalescing. The drain loop detaches a run of
-//     consecutive quote requests for one tenant and prices them as ONE
-//     QuoteEngine::quote_batch call, so the multi-source batched kernel
-//     (spath::spt_multi_into) amortizes the SPT solve across requests
-//     that would otherwise each pay a full miss. All requests in a
-//     coalesced group are answered under one declaration epoch — no
-//     declare of that tenant can interleave, because the worker holding
-//     the run is its only executor.
+//     shard in the tenant table (route_); an idle worker steals a
+//     whole-tenant run — queued requests and staged mailbox items —
+//     from the tail of the most-loaded shard's ready lists, flipping the
+//     slot's shard so the engine's writes stay single-threaded. Victims
+//     are chosen by a load estimate: queue depth × an EWMA of
+//     per-request service time.
 //   * Weighted fair queuing per SLO class. Runs are scheduled by a
 //     deficit-round-robin loop over per-class ready lists
 //     (kInteractive weight ≫ kBatch), so batch floods cannot inflate
-//     interactive tail latency. Admission gates are unchanged; DRR
-//     replaces only the *ordering* role the watermark shed used to
-//     moonlight in.
+//     interactive tail latency. Each queued request is one engine call.
 //
-//   Per-tenant FIFO survives all three: a run is a single deque, a
-//   steal moves it wholesale while no request of that tenant is in
-//   service, and the ownership flip happens under the exclusive route
-//   lock that every submit's push holds shared.
+//   Per-tenant FIFO survives both: a run is a single deque, a steal
+//   moves it wholesale while no request of that tenant is in service,
+//   and the shard flip happens under the exclusive route lock that
+//   every submit's push holds shared.
 //
 // Admission control (runs inline on the submitting thread)
 //   1. shutdown check            -> kShutdown
 //   2. per-tenant token bucket   -> kThrottled      (quote kinds only)
-//   3. watermark shed            -> kShedWatermark  (kBatch quotes once
+//   3. cache probe               -> kOk, answered here (QuoteOp hits
+//                                   while no write of the tenant is
+//                                   in flight; DESIGN.md §15.3)
+//   4. watermark shed            -> kShedWatermark  (kBatch quotes once
 //                                   the shard queue is deeper than
 //                                   FleetConfig::shed_watermark)
-//   4. depth gate + staging push -> kShedQueueFull  (hard capacity)
+//   5. depth gate + staging push -> kShedQueueFull  (hard capacity)
 //   Admission rejections resolve the future immediately — a client
 //   never waits on a request the fleet already refused. Declares and
-//   admin ops skip 2-3: state mutations must not be silently dropped
+//   admin ops skip 2-4: state mutations must not be silently dropped
 //   by load shedding (a rejected declare is still visible to the
 //   client as kShedQueueFull, so replay stays deterministic).
 //
+// Tenant table
+//   One slot per tenant ever addressed, never erased: its owning shard,
+//   its count of admitted writes not yet applied, and a shared_ptr to
+//   its engine. A probe copies the pointer under the shared route lock,
+//   so neither a drop nor a steal can free an engine under it; it probes
+//   only while the write count reads 0, so no answer predates a write
+//   submitted before it.
+//
 // Deadlines
 //   Every request carries a deadline (deadline_us after submission; 0
-//   means FleetConfig::default_deadline_us). A worker that detaches a
-//   *quote* past its deadline answers kExpiredDeadline instead of
-//   pricing dead work. Declares and admin ops always execute once
-//   queued, whatever their age — dropping a write that was admitted
-//   would fork the tenant's declared-cost history.
+//   means FleetConfig::default_deadline_us). A worker that reaches a
+//   queued *quote* past its deadline answers kExpiredDeadline instead of
+//   pricing dead work; a cache hit answered at submit never expires.
+//   Declares and admin ops always execute once queued, whatever their
+//   age — dropping a write that was admitted would fork the tenant's
+//   declared-cost history.
 //
 // Every decision above is counted in FleetMetrics (fleet-wide and
-// per-tenant, with per-priority-class latency percentiles and
-// steal/coalesce counters); see svc/metrics.hpp and DESIGN.md §12/§15.
+// per-tenant, with per-priority-class latency percentiles and steal
+// and submit-hit counters); see svc/metrics.hpp and DESIGN.md §12/§15.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -218,6 +221,20 @@ class Fleet {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// One tenant's entry in the tenant table. Slots are never erased, so
+  /// a Pending may keep a pointer to its slot. `shard` and `engine` are
+  /// written under route_mutex_ exclusive and read under it shared.
+  struct TenantSlot {
+    /// Owning shard: the ownership token a steal flips.
+    std::uint32_t shard = 0;
+    /// Admitted declares, mark-downs, creates and drops not yet applied;
+    /// the submit-side probe runs only while this reads 0.
+    std::atomic<std::uint32_t> writes{0};
+    /// nullptr until created and after a drop. Copied, never borrowed,
+    /// by anyone who uses it outside route_mutex_.
+    std::shared_ptr<QuoteEngine> engine;
+  };
+
   /// One queued request: the message, its resolved deadline, and the
   /// promise the worker (or admission control) answers.
   struct Pending {
@@ -225,6 +242,9 @@ class Fleet {
     std::promise<Response> promise;
     Clock::time_point submitted;
     Clock::time_point deadline;
+    /// The tenant's slot, set when the request is staged. finish()
+    /// decrements its write count once for a staged write.
+    TenantSlot* slot = nullptr;
   };
 
   /// Per-tenant FIFO of admitted requests awaiting execution. The run
@@ -255,10 +275,9 @@ class Fleet {
     std::thread worker;
 
     /// Shard scheduler lock ("shard mailbox mutex" in DESIGN.md §15's
-    /// lock order). Guards the run table, the DRR state, and the engine
-    /// map. Lock order: route_mutex_ (if taken at all) strictly BEFORE
-    /// any sched_mutex; tc_analyze's lock-order rule rejects the
-    /// reverse edge.
+    /// lock order). Guards the run table and the DRR state. Lock order:
+    /// route_mutex_ (if taken at all) strictly BEFORE any sched_mutex;
+    /// tc_analyze's lock-order rule rejects the reverse edge.
     util::Mutex sched_mutex;
     /// Worker parking: signaled on every successful staging push and at
     /// shutdown. The worker also wakes on a short timeout to poll for
@@ -272,10 +291,6 @@ class Fleet {
     std::array<std::int64_t, kNumClasses> deficit TC_GUARDED_BY(sched_mutex) =
         {};
     std::size_t drr_turn TC_GUARDED_BY(sched_mutex) = 0;
-    /// Tenant engines. Only the owning worker executes against them,
-    /// but the map itself is guarded so a steal can migrate an entry.
-    std::unordered_map<TenantId, std::unique_ptr<QuoteEngine>> engines
-        TC_GUARDED_BY(sched_mutex);
 
     /// Admitted-but-not-executing request count (staging + runs).
     /// Advisory cross-thread reads feed admission and load estimates.
@@ -312,15 +327,20 @@ class Fleet {
     return static_cast<std::size_t>(p);
   }
 
-  /// Static placement (the A/B baseline and the no-routing fast path).
-  Shard& static_shard_of(TenantId tenant) {
-    return *shards_[tenant % shards_.size()];
-  }
+  /// DRR quantum of class `cls` in requests; also the most requests one
+  /// chunk may detach, on the DRR and the steal path alike.
+  std::int64_t quantum(std::size_t cls) const;
   /// Least-loaded shard index for first-seen tenants (ties round-robin).
   std::size_t least_loaded_shard();
   /// Token-bucket admission for quote kinds; true = admit.
   bool admit_quote(TenantId tenant) TC_EXCLUDES(admission_mutex_);
-  /// Gates 3-4 + staging push + worker wakeup for an already-routed
+  /// Admission step 3: answers `p` (a QuoteOp) from `engine`'s cache and
+  /// returns true on a hit; on a miss or an invalid pair, returns false.
+  bool answer_at_submit(Pending& p, QuoteEngine& engine);
+  /// Counts a write in its slot, then gates 4-5 + staging push on the
+  /// slot's shard; a rejection is answered here.
+  void stage(TenantSlot& slot, Pending& p) TC_REQUIRES_SHARED(route_mutex_);
+  /// Gates 4-5 + staging push + worker wakeup for an already-routed
   /// request. On rejection the Pending still owns its promise.
   [[nodiscard]] bool admit_and_stage(Shard& shard, Pending& p,
                                      Response& reject);
@@ -348,17 +368,15 @@ class Fleet {
   [[nodiscard]] bool try_steal(Shard& thief, Chunk& chunk)
       TC_EXCLUDES(route_mutex_);
 
-  /// Executes a detached chunk: coalesces consecutive quote requests
-  /// into one engine call, runs declares/admin ops one by one, and
+  /// Executes a detached chunk one request at a time, in FIFO order, and
   /// answers every Pending.
-  void execute_chunk(Shard& shard, Chunk& chunk);
-  /// Executes one non-quote request (declare / admin / mark-down);
-  /// `engine` tracks create/drop made inside the chunk.
-  void execute_one(Shard& shard, Pending& p, QuoteEngine*& engine);
-  /// Prices `count` consecutive quote requests starting at `first` in
-  /// one engine call (or individually when coalescing is off).
-  void execute_quote_group(Shard& shard, Pending* first, std::size_t count,
-                           QuoteEngine* engine);
+  void execute_chunk(Chunk& chunk) TC_EXCLUDES(route_mutex_);
+  /// Prices one quote or quote batch on `engine` (nullptr: no tenant).
+  void execute_quote(Pending& p, QuoteEngine* engine);
+  /// Executes one write (declare / mark-down / create / drop); `engine`
+  /// tracks create/drop made inside the chunk.
+  void execute_write(Pending& p, std::shared_ptr<QuoteEngine>& engine)
+      TC_EXCLUDES(route_mutex_);
 
   Config config_;
   std::atomic<bool> stopping_{false};
@@ -367,14 +385,14 @@ class Fleet {
   util::Mutex admission_mutex_;
   std::unordered_map<TenantId, TokenBucket> buckets_
       TC_GUARDED_BY(admission_mutex_);
-  /// Tenant ownership table (load-aware mode only): tenant -> shard
-  /// index. Submitters hold it SHARED across the staging push; a steal
-  /// holds it EXCLUSIVE across the ownership flip + run/engine/mailbox
+  /// The tenant table, in both placement modes. Submitters hold it
+  /// SHARED across the probe's pointer copy and the staging push; a
+  /// steal holds it EXCLUSIVE across the shard flip + run/mailbox
   /// migration, so every request lands wholly before or wholly after a
-  /// migration. First lock in the fleet's lock order (DESIGN.md §15).
+  /// migration, and a create or drop holds it EXCLUSIVE to publish the
+  /// engine pointer. First lock in the fleet's lock order (DESIGN.md §15).
   util::SharedMutex route_mutex_;
-  std::unordered_map<TenantId, std::uint32_t> route_
-      TC_GUARDED_BY(route_mutex_);
+  std::unordered_map<TenantId, TenantSlot> route_ TC_GUARDED_BY(route_mutex_);
   /// Round-robin tie-break for zero-load placement.
   std::atomic<std::size_t> placement_rr_{0};
   FleetMetrics metrics_;

@@ -128,8 +128,7 @@ FleetMetricsSnapshot FleetMetrics::snapshot() const {
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.stolen_runs = stolen_runs_.load(std::memory_order_relaxed);
   s.stolen_requests = stolen_requests_.load(std::memory_order_relaxed);
-  s.coalesced_groups = coalesced_groups_.load(std::memory_order_relaxed);
-  s.coalesced_requests = coalesced_requests_.load(std::memory_order_relaxed);
+  s.served_at_submit = served_at_submit_.load(std::memory_order_relaxed);
   s.interactive_served = interactive_served_.load(std::memory_order_relaxed);
   s.interactive_denied = interactive_denied_.load(std::memory_order_relaxed);
   s.batch_served = batch_served_.load(std::memory_order_relaxed);
@@ -184,8 +183,7 @@ std::string FleetMetricsSnapshot::to_string() const {
       << "rejected          " << rejected << "\n"
       << "stolen runs       " << stolen_runs << " (" << stolen_requests
       << " requests)\n"
-      << "coalesced groups  " << coalesced_groups << " ("
-      << coalesced_requests << " requests)\n"
+      << "served at submit  " << served_at_submit << "\n"
       << "attainment        "
       << static_cast<int>(attainment() * 1000.0 + 0.5) / 10.0 << "%"
       << "  interactive "

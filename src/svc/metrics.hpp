@@ -158,8 +158,11 @@ struct FleetMetricsSnapshot {
   // Scheduler counters (DESIGN.md §15).
   std::uint64_t stolen_runs = 0;     ///< whole-tenant migrations (steals)
   std::uint64_t stolen_requests = 0; ///< requests carried by those steals
-  std::uint64_t coalesced_groups = 0;  ///< multi-request quote_batch calls
-  std::uint64_t coalesced_requests = 0;  ///< quote requests folded into them
+  /// Quotes answered from the cache inside submit() (a subset of served).
+  std::uint64_t served_at_submit = 0;
+  /// Always 0: the fleet no longer folds quotes into shared engine calls.
+  /// Kept because perfbench reports it as fleet.coalesced_frac.
+  std::uint64_t coalesced_requests = 0;
   /// Per-class served / denied quote counts (attainment inputs).
   std::uint64_t interactive_served = 0;
   std::uint64_t interactive_denied = 0;
@@ -223,10 +226,9 @@ class FleetMetrics {
     stolen_runs_.fetch_add(1, std::memory_order_relaxed);
     stolen_requests_.fetch_add(requests, std::memory_order_relaxed);
   }
-  /// One coalesced engine call folding `requests` quote requests.
-  void record_coalesced(std::uint64_t requests) {
-    coalesced_groups_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_requests_.fetch_add(requests, std::memory_order_relaxed);
+  /// One quote answered from the cache at submit; record_served books it.
+  void record_served_at_submit() {
+    served_at_submit_.fetch_add(1, std::memory_order_relaxed);
   }
 
   [[nodiscard]] FleetMetricsSnapshot snapshot() const;
@@ -304,8 +306,7 @@ class FleetMetrics {
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> stolen_runs_{0};
   std::atomic<std::uint64_t> stolen_requests_{0};
-  std::atomic<std::uint64_t> coalesced_groups_{0};
-  std::atomic<std::uint64_t> coalesced_requests_{0};
+  std::atomic<std::uint64_t> served_at_submit_{0};
   /// Per-class quote outcome counters (attainment numerator/denominator).
   std::atomic<std::uint64_t> interactive_served_{0};
   std::atomic<std::uint64_t> interactive_denied_{0};

@@ -42,6 +42,10 @@ QuoteEngine::QuoteEngine(graph::NodeGraph topology, graph::NodeId access_point,
   TC_CHECK_MSG(access_point_ < num_nodes_, "access point out of range");
   TC_CHECK_MSG(pricer_->model() == GraphModel::kNode,
                "node-graph engine needs a node-model pricer");
+  // declare_cost's contract: NaN fails, +inf (a node that is down) passes.
+  for (const Cost c : topology.costs()) {
+    TC_CHECK_MSG(c >= 0.0, "topology node cost must be non-negative");
+  }
   if (options_.shards == 0) options_.shards = kDefaultShards;
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
@@ -72,6 +76,11 @@ QuoteEngine::QuoteEngine(graph::LinkGraph topology, graph::NodeId access_point,
   TC_CHECK_MSG(access_point_ < num_nodes_, "access point out of range");
   TC_CHECK_MSG(pricer_->model() == GraphModel::kLink,
                "link-graph engine needs a link-model pricer");
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    for (const graph::Arc& arc : topology.out_arcs(u)) {
+      TC_CHECK_MSG(arc.cost >= 0.0, "topology arc cost must be non-negative");
+    }
+  }
   if (options_.shards == 0) options_.shards = kDefaultShards;
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
@@ -401,6 +410,15 @@ std::optional<core::PaymentResult> QuoteEngine::install(
   metrics_.record_miss();
   metrics_.record_served(elapsed_us(start));
   return answer;
+}
+
+bool QuoteEngine::try_hit(NodeId source, NodeId target,
+                          std::optional<core::PaymentResult>& out,
+                          std::uint64_t& epoch) {
+  const std::uint64_t key = key_of(source, target);
+  const auto start = Clock::now();
+  epoch = epoch_.load(std::memory_order_acquire);
+  return serve_hit(key, epoch, start, out);
 }
 
 std::optional<core::PaymentResult> QuoteEngine::quote_impl(NodeId source,

@@ -149,6 +149,14 @@ class QuoteEngine {
   [[nodiscard]] std::optional<core::PaymentResult> quote(
       graph::NodeId source, graph::NodeId target);
 
+  /// Cache-only probe for a validated pair: on an entry priced under the
+  /// current epoch, writes its answer to `out` and that epoch to `epoch`,
+  /// counts a hit and returns true. Never prices and never loads the
+  /// snapshot; a false return has no effect beyond the epoch read.
+  [[nodiscard]] bool try_hit(graph::NodeId source, graph::NodeId target,
+                             std::optional<core::PaymentResult>& out,
+                             std::uint64_t& epoch);
+
   /// Quotes for every source toward the access point: quote_batch over
   /// the (v, access point) pairs. quotes[access_point] is nullopt.
   [[nodiscard]] std::vector<std::optional<core::PaymentResult>> quote_all();

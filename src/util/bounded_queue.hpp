@@ -74,9 +74,9 @@ class BoundedQueue {
   }
 
   /// Batch pop: drains up to `max_items` queued items into `out` under
-  /// ONE lock acquisition — the fleet's coalescing drain loop grabs a
-  /// whole request chunk this way instead of paying a lock round-trip
-  /// per item. Never blocks; returns the number of items appended (0
+  /// ONE lock acquisition — the fleet's drain loop grabs a whole batch
+  /// of staged requests this way instead of paying a lock round-trip per
+  /// item. Never blocks; returns the number of items appended (0
   /// when empty, whether or not the queue is closed — pair with
   /// closed() for consumer-exit logic). Items keep FIFO order in `out`.
   std::size_t try_pop_n(std::vector<T>& out, std::size_t max_items)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 namespace tc::graph {
@@ -81,6 +82,18 @@ TEST(LinkGraphBuilder, Rejections) {
   EXPECT_THROW(b.add_arc(0, 0, 1.0), std::invalid_argument);
   EXPECT_THROW(b.add_arc(0, 9, 1.0), std::invalid_argument);
   EXPECT_THROW(b.add_arc(0, 1, -2.0), std::invalid_argument);
+}
+
+// NaN fails every comparison, so a `cost < 0` test lets it through. +inf
+// stays legal: it models an arc that is down.
+TEST(LinkGraphBuilder, RejectsNaNCostButKeepsInfinity) {
+  LinkGraphBuilder b(2);
+  EXPECT_THROW(b.add_arc(0, 1, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(b.add_arc(1, 0, -std::nan("")), std::invalid_argument);
+  b.add_arc(0, 1, kInfCost);
+  const LinkGraph g = b.build();
+  ASSERT_EQ(g.num_arcs(), 1u);
+  EXPECT_EQ(g.out_arcs(0).front().cost, kInfCost);
 }
 
 TEST(LinkGraph, OutArcsSortedByTarget) {

@@ -1,5 +1,6 @@
 // Fleet semantics: tenant isolation, typed load shedding, deadline
-// expiry, admission fairness, and ledger epoch fencing across tenants.
+// expiry, admission fairness, cache hits answered at submit, and ledger
+// epoch fencing across tenants.
 //
 // The shedding tests pin their timing by construction instead of by
 // sleeping: a fleet with one shard is given a large QuoteBatchOp first,
@@ -379,9 +380,6 @@ TEST(Fleet, ConfigValidationCatchesBadKnobs) {
   config.fleet.interactive_weight = 0;
   EXPECT_FALSE(config.validate().empty());
   config = {};
-  config.fleet.coalesce_cap = 0;
-  EXPECT_FALSE(config.validate().empty());
-  config = {};
   config.fleet.load_ewma_alpha = 0.0;
   EXPECT_FALSE(config.validate().empty());
   config = {};
@@ -396,7 +394,6 @@ TEST(Fleet, StaticPlacementBaselineStillServes) {
   config.fleet.shards = 2;
   config.fleet.load_aware_placement = false;
   config.fleet.work_stealing = false;
-  config.fleet.coalesce_quotes = false;
   Fleet fleet(config);
   const auto g = tenant_graph(91);
   ASSERT_EQ(fleet.create_tenant(3, g, 0), Status::kOk);
@@ -410,49 +407,180 @@ TEST(Fleet, StaticPlacementBaselineStillServes) {
   }
   const auto m = fleet.metrics();
   EXPECT_EQ(m.stolen_runs, 0u);
-  EXPECT_EQ(m.coalesced_groups, 0u);
 }
 
-TEST(Fleet, CoalescedQuotesMatchOracleAndShareOneEpoch) {
+/// Forwards to the default node pricer and counts every pricing call, so
+/// a test can tell a cache hit (no call) from a miss.
+class CountingPricer final : public Pricer {
+ public:
+  std::string name() const override { return inner_->name(); }
+  GraphModel model() const override { return inner_->model(); }
+  PricedQuote price(const ProfileSnapshot& snap, NodeId source,
+                    NodeId target) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->price(snap, source, target);
+  }
+  bool monopoly_free(const ProfileSnapshot& snap) const override {
+    return inner_->monopoly_free(snap);
+  }
+  bool accepts_warm_spts() const override {
+    return inner_->accepts_warm_spts();
+  }
+  PricedQuote price_with_spts(const ProfileSnapshot& snap, NodeId source,
+                              NodeId target,
+                              const spath::SptResult& spt_source,
+                              const spath::SptResult& spt_target)
+      const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->price_with_spts(snap, source, target, spt_source,
+                                   spt_target);
+  }
+  int calls() const { return calls_.load(std::memory_order_relaxed); }
+
+ private:
+  std::shared_ptr<const Pricer> inner_ = make_node_vcg_pricer();
+  mutable std::atomic<int> calls_{0};
+};
+
+// Once a key is cached, a repeated quote is answered inside submit(): its
+// future is ready when submit returns, the fleet counts it as served at
+// submit, and the engine serves it from its cache without pricing.
+TEST(Fleet, RepeatedQuoteIsAnsweredAtSubmit) {
+  const auto g = tenant_graph(97);
+  auto pricer = std::make_shared<CountingPricer>();
+  Fleet fleet;
+  ASSERT_EQ(fleet.create_tenant(0, g, 0, pricer), Status::kOk);
+  QuoteEngine oracle(g, 0);
+
+  const Response first = fleet.call(quote_req(0, 5, graph::kInvalidNode));
+  ASSERT_EQ(first.status, Status::kOk);
+  ASSERT_TRUE(first.quote.has_value());
+  EXPECT_EQ(pricer->calls(), 1);
+  const auto before = fleet.metrics();
+
+  auto again = fleet.submit(quote_req(0, 5, graph::kInvalidNode));
+  ASSERT_EQ(again.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const Response r = again.get();
+  ASSERT_EQ(r.status, Status::kOk);
+  ASSERT_TRUE(r.quote.has_value());
+  EXPECT_EQ(r.epoch, first.epoch);
+  EXPECT_EQ(r.quote->profile_version, first.epoch);
+  const auto want = oracle.quote(5);
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(r.quote->path, want->path);
+  EXPECT_EQ(r.quote->payments, want->payments);
+
+  EXPECT_EQ(pricer->calls(), 1);  // a hit: the engine priced nothing
+  const auto after = fleet.metrics();
+  EXPECT_EQ(after.served_at_submit, before.served_at_submit + 1);
+  EXPECT_EQ(after.served, before.served + 1);
+  EXPECT_EQ(after.submitted, before.submitted + 1);
+  EXPECT_NE(after.to_string().find("served at submit  1"), std::string::npos)
+      << after.to_string();
+}
+
+// Read-your-writes: a quote submitted right after a declare of the same
+// tenant is answered after that declare, even though its key is cached
+// at the older epoch. The worker is parked in a large batch, so both
+// requests are still queued when the quote is submitted; only the
+// tenant's count of unapplied writes keeps the quote off the submit-side
+// probe.
+TEST(Fleet, QuoteAfterQueuedDeclareSeesTheDeclare) {
   const auto g = tenant_graph(93, 40);
   Config config;
   config.fleet.shards = 1;
   config.fleet.default_deadline_us = 60'000'000;
   Fleet fleet(config);
   ASSERT_EQ(fleet.create_tenant(0, g, 0), Status::kOk);
-  QuoteEngine oracle(g, 0);
 
-  // Park the worker in a big batch, pile same-tenant quotes up behind
-  // it, and let the drain loop fold them into one engine call. The park
-  // is probabilistic, so retry a few rounds until a group coalesced.
-  bool coalesced = false;
-  for (int round = 0; round < 20 && !coalesced; ++round) {
-    Request slow;
-    slow.tenant = 0;
-    slow.op = all_pairs(g);
-    auto slow_future = fleet.submit(std::move(slow));
-    std::vector<std::future<Response>> burst;
-    for (NodeId s = 1; s < 17; ++s) {
-      burst.push_back(fleet.submit(quote_req(0, s, graph::kInvalidNode)));
-    }
-    EXPECT_EQ(slow_future.get().status, Status::kOk);
-    std::uint64_t epoch = 0;
-    for (NodeId s = 1; s < 17; ++s) {
-      const Response r = burst[s - 1].get();
-      ASSERT_EQ(r.status, Status::kOk);
-      if (epoch == 0) epoch = r.epoch;
-      // No declare ran: every answer must carry the same epoch.
-      EXPECT_EQ(r.epoch, epoch);
-      const auto want = oracle.quote(s);
-      ASSERT_EQ(r.quote.has_value(), want.has_value()) << "source " << s;
-      if (want) {
-        EXPECT_EQ(r.quote->path, want->path);
-        EXPECT_EQ(r.quote->payments, want->payments);
-      }
-    }
-    coalesced = fleet.metrics().coalesced_groups > 0;
+  // Cache a quote whose route has a relay, whose price the declare moves.
+  NodeId source = 1;
+  Response cached;
+  for (; source < g.num_nodes(); ++source) {
+    cached = fleet.call(quote_req(0, source, graph::kInvalidNode));
+    ASSERT_EQ(cached.status, Status::kOk);
+    if (cached.quote.has_value() && cached.quote->path.size() >= 3) break;
   }
-  EXPECT_TRUE(coalesced) << "no quote group ever coalesced in 20 rounds";
+  ASSERT_LT(source, g.num_nodes()) << "no route has a relay";
+  const NodeId relay = cached.quote->path[1];
+  const Cost bumped = g.node_cost(relay) + 20.0;
+
+  Request slow;
+  slow.tenant = 0;
+  slow.op = all_pairs(g);
+  auto slow_future = fleet.submit(std::move(slow));
+  auto declare = fleet.submit(declare_req(0, relay, bumped));
+  auto quote = fleet.submit(quote_req(0, source, graph::kInvalidNode));
+
+  const Response d = declare.get();
+  const Response q = quote.get();
+  ASSERT_EQ(d.status, Status::kOk);
+  ASSERT_EQ(q.status, Status::kOk);
+  EXPECT_EQ(d.epoch, cached.epoch + 1);
+  EXPECT_EQ(q.epoch, d.epoch);
+  QuoteEngine oracle(g, 0);
+  oracle.declare_cost(relay, bumped);
+  const auto want = oracle.quote(source);
+  ASSERT_EQ(q.quote.has_value(), want.has_value());
+  if (want) {
+    EXPECT_EQ(q.quote->profile_version, d.epoch);
+    EXPECT_EQ(q.quote->path, want->path);
+    EXPECT_EQ(q.quote->payments, want->payments);
+  }
+  EXPECT_EQ(slow_future.get().status, Status::kOk);
+}
+
+// Engine lifetime on the submit path: clients quote hot keys, most of
+// them answered at submit, while another thread drops and re-creates
+// the tenant. A probe holds its own reference to the engine, so a drop
+// never frees one under it; every quote is answered kOk or
+// kUnknownTenant. Under ASan and TSan this is the drop race's check.
+TEST(Fleet, DropAndRecreateRaceWithSubmitSideHits) {
+  constexpr int kClients = 4;
+  constexpr int kCycles = 25;
+  const auto g = tenant_graph(95, 16);
+  Config config;
+  config.fleet.shards = 2;
+  config.fleet.default_deadline_us = 60'000'000;
+  Fleet fleet(config);
+  ASSERT_EQ(fleet.create_tenant(0, g, 0), Status::kOk);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto source = static_cast<NodeId>(1 + c);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Status s =
+            fleet.call(quote_req(0, source, graph::kInvalidNode)).status;
+        if (s != Status::kOk && s != Status::kUnknownTenant) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
+        source = static_cast<NodeId>(1 + (source % 4));
+      }
+    });
+  }
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    // Let the clients warm the new engine and hit it at submit first.
+    const std::uint64_t hits = fleet.metrics().served_at_submit;
+    int spins = 0;
+    while (fleet.metrics().served_at_submit < hits + 8 && ++spins < 2000) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(fleet.drop_tenant(0), Status::kOk);
+    EXPECT_EQ(fleet.create_tenant(0, g, 0), Status::kOk);
+  }
+  stop.store(true);
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  const auto m = fleet.metrics();
+  EXPECT_GT(m.served_at_submit, 0u);
+  EXPECT_EQ(m.admin, 1u + 2u * kCycles);
+  EXPECT_EQ(m.submitted, m.served + m.declares + m.admin +
+                             m.shed_queue_full + m.shed_watermark +
+                             m.throttled + m.expired + m.rejected);
 }
 
 // Steal-safety stress: tenants migrate between shards mid-declare-storm

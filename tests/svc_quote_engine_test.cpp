@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -662,6 +663,30 @@ TEST(QuoteEngine, NoOpArcRedeclarationKeepsEpoch) {
   // The cached quote is still served as a hit under the same epoch.
   ASSERT_TRUE(engine.quote(3).has_value());
   EXPECT_EQ(engine.metrics().cache_hits, 1u);
+}
+
+// An engine built on a NaN topology cost would price it: on the diamond
+// 3-{1,2}-0 with c_2 = NaN, relay 2 counts as absent and relay 1 is paid
+// +inf. Both constructors refuse NaN as declare_cost does; +inf passes.
+TEST(QuoteEngine, ConstructorsRejectNaNTopologyCosts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  graph::NodeGraphBuilder nb(4);
+  nb.add_edge(3, 1).add_edge(3, 2).add_edge(1, 0).add_edge(2, 0);
+  nb.set_costs({0.0, 1.0, 5.0, 0.0});
+  graph::NodeGraph node = nb.build();
+  node.set_node_cost(2, graph::kInfCost);
+  EXPECT_EQ(QuoteEngine(node, 0).num_nodes(), 4u);
+  node.set_node_cost(2, std::nan(""));
+  EXPECT_DEATH(QuoteEngine(node, 0), "node cost must be non-negative");
+
+  graph::LinkGraphBuilder lb(4);
+  lb.add_link(3, 1, 1.0, 1.0).add_link(3, 2, 5.0, 5.0);
+  lb.add_link(1, 0, 1.0, 1.0).add_link(2, 0, 5.0, 5.0);
+  graph::LinkGraph link = lb.build();
+  link.set_arc_cost(2, 0, graph::kInfCost);
+  EXPECT_EQ(QuoteEngine(link, 0).num_nodes(), 4u);
+  link.set_arc_cost(2, 0, std::nan(""));
+  EXPECT_DEATH(QuoteEngine(link, 0), "arc cost must be non-negative");
 }
 
 // Conservative mode (incremental_invalidation = false) must agree with
